@@ -536,9 +536,10 @@ let json_wire_codec ~iters =
 (* The socket transport's per-request shard handoff, end to end: feed
    the raw translate frame into the connection's read buffer, decode
    it ([Conn.next]), append it to its shard's batch
-   ([Dispatch.enqueue] — the tenant is pinned by affinity hash),
-   execute the batch ([exec_translate] through the shard manager), and
-   drain the encoded response. The whole cycle is the zero words/op
+   ([Dispatch.enqueue] writes it into a request cell — the tenant is
+   pinned by affinity hash), execute the batch inline ([flush_all]:
+   [Executor.exec] through the shard manager, then [Dispatch.complete]
+   encodes the response cell), and drain the encoded response. The whole cycle is the zero words/op
    gate for the --listen ingestion path. *)
 let json_dispatch_translate ~iters =
   let open Rio_serve in
@@ -609,10 +610,10 @@ let json_spsc_ring ~iters =
   for _ = 1 to 10_000 do f () done;
   sample ~group:"spsc-ring" ~iters f
 
-(* One readiness wakeup on the default backend (poll(2) where the
-   stubs built): wait over a registered always-ready pipe plus the
-   iter_ready sweep that hands tokens back. This is the per-wakeup
-   cost the socket loop pays instead of rebuilding select fd lists. *)
+(* One readiness wakeup on the default backend (poll(2)): wait over a
+   registered always-ready pipe plus the iter_ready sweep that hands
+   tokens back. This is the per-wakeup cost the socket loop pays
+   instead of rebuilding select fd lists. *)
 let json_readiness_wait ~iters =
   let open Rio_serve_net in
   let r = Readiness.create Readiness.default_backend in

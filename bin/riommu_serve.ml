@@ -361,7 +361,7 @@ let serve_term =
       & info [ "backend" ] ~docv:"B"
           ~doc:
             "Readiness backend ($(b,--listen) mode): $(b,poll) (no fd cap, \
-             no per-wakeup set rebuild; default where built) or \
+             no per-wakeup set rebuild; the default) or \
              $(b,select) (portable, FD_SETSIZE-capped).")
   in
   let run duration interval shards jobs tenants flows seed no_rcache capacity

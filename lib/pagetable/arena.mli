@@ -1,6 +1,7 @@
 (** Flat arena-backed four-level page table (zero-alloc map/unmap).
 
-    Semantically identical to the boxed {!Radix} reference — same 48-bit
+    Semantically identical to the boxed radix-tree reference
+    (test/radix.ml, the differential oracle) — same 48-bit
     four-level hierarchy, same CPU-view/walker-view coherency model,
     same cycle charges (one uncached CPU reference per level touched by
     the OS, one DRAM reference per level walked by the hardware, node
@@ -27,7 +28,7 @@ val create :
   cost:Rio_sim.Cost_model.t ->
   t
 (** An empty hierarchy (root node carved eagerly; exactly one node
-    allocation charged, like [Radix.create]). *)
+    allocation charged, like the radix reference's [create]). *)
 
 val levels : int
 (** 4. *)

@@ -1,19 +1,21 @@
-(* Shard-affinity dispatch: every decoded request is appended to a
-   per-shard batch (structure-of-arrays, preallocated at create), and
-   batches execute in shard order at flush points. A tenant is pinned
-   to one shard on first sight — hash of (tenant, presenting bdf) —
-   so its domain, IOVA allocator, and IOTLB working set stay on one
-   manager for the connection's lifetime, exactly the affinity the
-   simulated service gets from its static flow partition.
+(* Shard-affinity dispatch: every decoded request is written straight
+   into a request cell of its shard's batch (the {!Cell} lane layout,
+   preallocated at create), and batches execute in shard order at
+   flush points. A tenant is pinned to one shard on first sight — hash
+   of (tenant, presenting bdf) — so its domain, IOVA allocator, and
+   IOTLB working set stay on one manager for the connection's
+   lifetime, exactly the affinity the simulated service gets from its
+   static flow partition.
 
-   [enqueue] and [exec_translate] are the per-request steady-state
-   path and are allocation-free (lint manifest + the dispatch-translate
-   bench gate): batch slots are parallel int arrays, the request
-   record is caller-owned, and responses are encoded in place into the
-   connection's write buffer. The colder ops (map/map_sg/unmap) pay
-   small result/tuple boxes inside the manager API they call. *)
+   The cells are the only batch format: [flush_all] runs
+   [Executor.exec] on them in place, [flush_cells] copies each onto an
+   executor's ring (stamping the connection's token), and either way
+   [complete_run] encodes the response cells. [enqueue], [complete]
+   and the translate execute are
+   allocation-free (lint manifest + the dispatch-translate bench
+   gate); the colder ops (map/map_sg/unmap) pay small result/tuple
+   boxes inside the manager API they call. *)
 
-open Rio_memory
 open Rio_serve
 
 type t = {
@@ -32,25 +34,22 @@ type t = {
   mutable last_tenant : int;  (* -1 = cold *)
   mutable last_shard : int;
   mutable last_slot : int;
-  (* per-shard SoA batches, flattened [shard * cap + i] *)
+  (* per-shard batches of request cells: slot [shard * cap + i] holds
+     its connection in [b_conn] and its lanes at [slot * width]. A
+     slot keeps its last connection after a flush and enqueue skips
+     the store when it is unchanged, so a steady stream pays no GC
+     write barrier per request (a dead connection is held until its
+     slots are reused) *)
   count : int array;
   b_conn : Conn.t array;
-  b_op : int array;
-  b_tenant : int array;  (* domain slot on the owning shard *)
-  b_req_id : int array;
-  b_a : int array;  (* phys (map) / iova (unmap, translate) *)
-  b_b : int array;  (* bytes (map) / write flag (translate) *)
-  b_nseg : int array;
-  b_seg_phys : int array;  (* [ (shard * cap + i) * sg_limit + k ] *)
-  b_seg_bytes : int array;
-  (* exec scratch (flush runs on one thread, shard-sequential) *)
-  sg_segs : (Addr.phys * int) array;
-  sg_iovas : int array;
+  width : int;
+  cells : int array;
+  core : Executor.core;  (* the inline execute (flush_all) *)
+  sg_iovas : int array;  (* complete's map_sg scratch *)
   mutable stats_cb : Conn.t -> int -> unit;  (* conn, req_id *)
   mutable executed : int;
   mutable flushes : int;
   mutable rejected : int;
-  dummy : Conn.t;
 }
 
 let default_stats_cb conn req_id =
@@ -69,6 +68,7 @@ let create ~shards ~batch ~sg_limit ?(max_tenants = 4096) () =
   if batch < 1 then invalid_arg "Dispatch.create: batch";
   if sg_limit < 1 then invalid_arg "Dispatch.create: sg_limit";
   let slots = nshards * batch in
+  let width = Cell.req_width ~sg_limit in
   let dummy =
     Conn.create ~rbuf_bytes:(Wire.max_request_bytes ~sg_limit:1) ~window:1
       ~sg_limit:1 ()
@@ -86,21 +86,14 @@ let create ~shards ~batch ~sg_limit ?(max_tenants = 4096) () =
     last_slot = 0;
     count = Array.make nshards 0;
     b_conn = Array.make slots dummy;
-    b_op = Array.make slots 0;
-    b_tenant = Array.make slots 0;
-    b_req_id = Array.make slots 0;
-    b_a = Array.make slots 0;
-    b_b = Array.make slots 0;
-    b_nseg = Array.make slots 0;
-    b_seg_phys = Array.make (slots * sg_limit) 0;
-    b_seg_bytes = Array.make (slots * sg_limit) 0;
-    sg_segs = Array.make sg_limit (Addr.phys_of_int 0, 0);
+    width;
+    cells = Array.make (slots * width) 0;
+    core = Executor.core ~shards ~sg_limit;
     sg_iovas = Array.make sg_limit 0;
     stats_cb = default_stats_cb;
     executed = 0;
     flushes = 0;
     rejected = 0;
-    dummy;
   }
 
 let set_stats_cb t cb = t.stats_cb <- cb
@@ -186,24 +179,28 @@ let enqueue t conn req =
         let c = t.count.(sh) in
         if c >= t.cap then false
         else begin
-          let base = (sh * t.cap) + c in
-          t.b_conn.(base) <- conn;
-          t.b_op.(base) <- op;
-          t.b_tenant.(base) <- t.last_slot;
-          t.b_req_id.(base) <- req.Wire.req_id;
+          let slot = (sh * t.cap) + c in
+          let q = slot * t.width in
+          let cells = t.cells in
+          if t.b_conn.(slot) != conn then t.b_conn.(slot) <- conn;
+          cells.(q + Cell.q_op) <- op;
+          cells.(q + Cell.q_req_id) <- req.Wire.req_id;
+          cells.(q + Cell.q_shard) <- sh;
+          cells.(q + Cell.q_tenant) <- t.last_slot;
           if op = Wire.op_map then begin
-            t.b_a.(base) <- req.Wire.phys;
-            t.b_b.(base) <- req.Wire.bytes
+            cells.(q + Cell.q_a) <- req.Wire.phys;
+            cells.(q + Cell.q_b) <- req.Wire.bytes
           end
           else if op = Wire.op_map_sg then begin
             let n = req.Wire.nseg in
-            t.b_nseg.(base) <- n;
-            Array.blit req.Wire.seg_phys 0 t.b_seg_phys (base * t.sg_limit) n;
-            Array.blit req.Wire.seg_bytes 0 t.b_seg_bytes (base * t.sg_limit) n
+            let segs = q + Cell.q_segs in
+            cells.(q + Cell.q_nseg) <- n;
+            Array.blit req.Wire.seg_phys 0 cells segs n;
+            Array.blit req.Wire.seg_bytes 0 cells (segs + t.sg_limit) n
           end
           else begin
-            t.b_a.(base) <- req.Wire.iova;
-            t.b_b.(base) <- (if req.Wire.write then 1 else 0)
+            cells.(q + Cell.q_a) <- req.Wire.iova;
+            cells.(q + Cell.q_b) <- (if req.Wire.write then 1 else 0)
           end;
           t.count.(sh) <- c + 1;
           true
@@ -212,102 +209,73 @@ let enqueue t conn req =
     end
   end
 
-(* The steady-state execute: translate straight out of the batch slot
-   into the connection's write buffer. Faults are the constant
-   [Manager.Translation_fault] (already counted by the shard) and
-   become a payload-less fault status. Allocation-free. *)
-let exec_translate t sh ~conn ~tenant ~iova ~write ~req_id =
-  let off = Conn.reserve conn t.rsp_max in
+(* The only encoder of shard results, for cells executed inline
+   (flush_shard) and cells back off an executor ring (complete) alike:
+   encode the [n] response cells at [pos], [pos + width], ... into
+   [conn]'s write buffer behind one reservation and one commit, and
+   retire their in-flight slots, counted in [executed] so the loop's
+   response accounting is mode-agnostic. Admission kept [rsp_max]
+   bytes free per in-flight request, so the run's reservation cannot
+   fail for an admitted connection. Allocation-free: the map_sg iova
+   lanes blit through the dispatcher's scratch rather than slicing the
+   cell. *)
+let complete_run t conn ~cell ~pos ~n =
+  let off = Conn.reserve conn (n * t.rsp_max) in
   if off < 0 then Conn.kill conn
   else begin
-    (match Shard.translate_record sh ~tenant ~iova ~write with
-    | phys ->
-        Conn.commit conn
-          (Wire.encode_translate_ok (Conn.wbuf conn) ~pos:off ~req_id
-             ~phys:(Addr.to_int phys))
-    | exception Rio_domain.Manager.Translation_fault ->
-        Conn.commit conn
-          (Wire.encode_error (Conn.wbuf conn) ~pos:off ~op:Wire.op_translate
-             ~status:Wire.st_fault ~req_id));
-    Conn.completed conn
-  end
-
-let exec_map t sh ~conn ~tenant ~phys ~bytes ~req_id =
-  let off = Conn.reserve conn t.rsp_max in
-  if off < 0 then Conn.kill conn
-  else begin
-    (match Shard.map_record sh ~tenant ~phys:(Addr.phys_of_int phys) ~bytes with
-    | Ok iova ->
-        Conn.commit conn
-          (Wire.encode_map_ok (Conn.wbuf conn) ~pos:off ~req_id ~iova)
-    | Error `Exhausted ->
-        Conn.commit conn
-          (Wire.encode_error (Conn.wbuf conn) ~pos:off ~op:Wire.op_map
-             ~status:Wire.st_exhausted ~req_id));
-    Conn.completed conn
-  end
-
-let exec_unmap t sh ~conn ~tenant ~iova ~req_id =
-  let off = Conn.reserve conn t.rsp_max in
-  if off < 0 then Conn.kill conn
-  else begin
-    (match Shard.unmap_record sh ~tenant ~iova with
-    | Ok () ->
-        Conn.commit conn (Wire.encode_unmap_ok (Conn.wbuf conn) ~pos:off ~req_id)
-    | Error `Not_mapped ->
-        Conn.commit conn
-          (Wire.encode_error (Conn.wbuf conn) ~pos:off ~op:Wire.op_unmap
-             ~status:Wire.st_not_mapped ~req_id));
-    Conn.completed conn
-  end
-
-let exec_map_sg t sh ~conn ~tenant ~base ~n ~req_id =
-  let off = Conn.reserve conn t.rsp_max in
-  if off < 0 then Conn.kill conn
-  else begin
+    let b = Conn.wbuf conn in
+    let fin = ref off in
     for k = 0 to n - 1 do
-      t.sg_segs.(k) <-
-        ( Addr.phys_of_int t.b_seg_phys.((base * t.sg_limit) + k),
-          t.b_seg_bytes.((base * t.sg_limit) + k) )
+      let pos = pos + (k * t.width) in
+      let op = cell.(pos + Cell.r_op) in
+      let status = cell.(pos + Cell.r_status) in
+      let req_id = cell.(pos + Cell.r_req_id) in
+      fin :=
+        if status <> Wire.st_ok then
+          Wire.encode_error b ~pos:!fin ~op ~status ~req_id
+        else if op = Wire.op_translate then
+          Wire.encode_translate_ok b ~pos:!fin ~req_id
+            ~phys:cell.(pos + Cell.r_value)
+        else if op = Wire.op_map then
+          Wire.encode_map_ok b ~pos:!fin ~req_id ~iova:cell.(pos + Cell.r_value)
+        else if op = Wire.op_unmap then Wire.encode_unmap_ok b ~pos:!fin ~req_id
+        else begin
+          let nseg = cell.(pos + Cell.r_nseg) in
+          Array.blit cell (pos + Cell.r_iovas) t.sg_iovas 0 nseg;
+          Wire.encode_map_sg_ok b ~pos:!fin ~req_id ~iovas:t.sg_iovas ~n:nseg
+        end;
+      Conn.completed conn
     done;
-    (match
-       Shard.map_sg_record sh ~tenant ~segs:t.sg_segs ~n ~iovas:t.sg_iovas
-     with
-    | Ok _span ->
-        Conn.commit conn
-          (Wire.encode_map_sg_ok (Conn.wbuf conn) ~pos:off ~req_id
-             ~iovas:t.sg_iovas ~n)
-    | Error `Exhausted ->
-        Conn.commit conn
-          (Wire.encode_error (Conn.wbuf conn) ~pos:off ~op:Wire.op_map_sg
-             ~status:Wire.st_exhausted ~req_id));
-    Conn.completed conn
+    Conn.commit conn !fin;
+    t.executed <- t.executed + n
   end
 
+let complete t conn ~cell ~pos = complete_run t conn ~cell ~pos ~n:1
+
+(* Execute and encode shard [sh]'s batch inline, one run of
+   consecutive slots from the same connection at a time: every cell
+   of the run goes through [Executor.exec], then [complete_run]
+   encodes the run's response cells in slot order. A dead
+   connection's run is skipped whole. *)
 let flush_shard t sh =
   let n = t.count.(sh) in
   if n > 0 then begin
     t.flushes <- t.flushes + 1;
-    let s = t.shards.(sh) in
-    for i = 0 to n - 1 do
-      let base = (sh * t.cap) + i in
-      let conn = t.b_conn.(base) in
+    let first = sh * t.cap in
+    let i = ref first in
+    while !i < first + n do
+      let conn = t.b_conn.(!i) in
+      let j = ref (!i + 1) in
+      while !j < first + n && t.b_conn.(!j) == conn do
+        incr j
+      done;
       if Conn.alive conn then begin
-        let op = t.b_op.(base) in
-        let tenant = t.b_tenant.(base) in
-        let req_id = t.b_req_id.(base) in
-        if op = Wire.op_translate then
-          exec_translate t s ~conn ~tenant ~iova:t.b_a.(base)
-            ~write:(t.b_b.(base) <> 0) ~req_id
-        else if op = Wire.op_map then
-          exec_map t s ~conn ~tenant ~phys:t.b_a.(base) ~bytes:t.b_b.(base)
-            ~req_id
-        else if op = Wire.op_unmap then
-          exec_unmap t s ~conn ~tenant ~iova:t.b_a.(base) ~req_id
-        else exec_map_sg t s ~conn ~tenant ~base ~n:t.b_nseg.(base) ~req_id;
-        t.executed <- t.executed + 1
+        for slot = !i to !j - 1 do
+          Executor.exec t.core t.cells ~pos:(slot * t.width)
+        done;
+        complete_run t conn ~cell:t.cells ~pos:(!i * t.width) ~n:(!j - !i)
       end;
-      t.b_conn.(base) <- t.dummy
+      i := !j
     done;
     t.count.(sh) <- 0
   end
@@ -322,75 +290,26 @@ let pending t =
   Array.iter (fun c -> n := !n + c) t.count;
   !n
 
-(* Multi-domain flush: instead of executing, pack each batch slot into
-   the caller's request-cell scratch and hand it to [emit], which
-   pushes it onto the owning executor's ring. Slots whose connection
-   died while batched are dropped here, exactly like flush_shard — they
-   never become in-flight cells. *)
+(* Multi-domain flush: copy each batched cell into the caller's
+   scratch, stamp its connection's token (the ring cannot carry the
+   Conn.t itself), and hand it to [emit], which pushes it onto the
+   owning executor's ring. Slots whose connection died while batched
+   are dropped here, exactly like flush_shard — they never become
+   in-flight cells. *)
 let flush_cells t ~cell ~emit =
   for sh = 0 to Array.length t.shards - 1 do
     let n = t.count.(sh) in
     if n > 0 then begin
       t.flushes <- t.flushes + 1;
       for i = 0 to n - 1 do
-        let base = (sh * t.cap) + i in
-        let conn = t.b_conn.(base) in
+        let slot = (sh * t.cap) + i in
+        let conn = t.b_conn.(slot) in
         if Conn.alive conn then begin
-          let op = t.b_op.(base) in
+          Array.blit t.cells (slot * t.width) cell 0 t.width;
           cell.(Cell.q_slot) <- Conn.token conn;
-          cell.(Cell.q_shard) <- sh;
-          cell.(Cell.q_op) <- op;
-          cell.(Cell.q_tenant) <- t.b_tenant.(base);
-          cell.(Cell.q_req_id) <- t.b_req_id.(base);
-          cell.(Cell.q_a) <- t.b_a.(base);
-          cell.(Cell.q_b) <- t.b_b.(base);
-          let nseg = if op = Wire.op_map_sg then t.b_nseg.(base) else 0 in
-          cell.(Cell.q_nseg) <- nseg;
-          if nseg > 0 then begin
-            Array.blit t.b_seg_phys (base * t.sg_limit) cell Cell.q_segs nseg;
-            Array.blit t.b_seg_bytes (base * t.sg_limit) cell
-              (Cell.q_segs + t.sg_limit) nseg
-          end;
           emit ~shard:sh
-        end;
-        t.b_conn.(base) <- t.dummy
+        end
       done;
       t.count.(sh) <- 0
     end
   done
-
-(* Encode one executor response cell into its connection's write
-   buffer — the IO-domain tail of the multi-domain execute, counted in
-   [executed] so the loop's response accounting is mode-agnostic.
-   Allocation-free: the map_sg iova lanes blit through the dispatcher's
-   scratch rather than slicing the cell. *)
-let complete t conn ~cell =
-  let off = Conn.reserve conn t.rsp_max in
-  if off < 0 then Conn.kill conn
-  else begin
-    let op = cell.(Cell.r_op) in
-    let status = cell.(Cell.r_status) in
-    let req_id = cell.(Cell.r_req_id) in
-    (if status <> Wire.st_ok then
-       Conn.commit conn
-         (Wire.encode_error (Conn.wbuf conn) ~pos:off ~op ~status ~req_id)
-     else if op = Wire.op_translate then
-       Conn.commit conn
-         (Wire.encode_translate_ok (Conn.wbuf conn) ~pos:off ~req_id
-            ~phys:cell.(Cell.r_value))
-     else if op = Wire.op_map then
-       Conn.commit conn
-         (Wire.encode_map_ok (Conn.wbuf conn) ~pos:off ~req_id
-            ~iova:cell.(Cell.r_value))
-     else if op = Wire.op_unmap then
-       Conn.commit conn (Wire.encode_unmap_ok (Conn.wbuf conn) ~pos:off ~req_id)
-     else begin
-       let n = cell.(Cell.r_nseg) in
-       Array.blit cell Cell.r_iovas t.sg_iovas 0 n;
-       Conn.commit conn
-         (Wire.encode_map_sg_ok (Conn.wbuf conn) ~pos:off ~req_id
-            ~iovas:t.sg_iovas ~n)
-     end);
-    Conn.completed conn;
-    t.executed <- t.executed + 1
-  end

@@ -1,21 +1,26 @@
 (** Shard-affinity dispatch with per-shard request batching.
 
-    Decoded requests are appended to preallocated structure-of-arrays
-    batches, one per shard, and executed in shard order at flush
-    points (the event loop flushes once per poll iteration, or
-    mid-iteration when a batch fills). A tenant is pinned to a shard
-    on first sight by hashing [(tenant, bdf)] — all its later
-    requests, whatever connection they arrive on, execute on that
-    shard's manager, preserving the IOTLB and allocator locality the
-    shard design exists for (DESIGN.md §12, §14).
+    Each decoded request is written straight into a request cell
+    ({!Cell}) of its shard's preallocated batch, and batches execute
+    in shard order at flush points (the event loop flushes once per
+    poll iteration, or mid-iteration when a batch fills). A tenant is
+    pinned to a shard on first sight by hashing [(tenant, bdf)] — all
+    its later requests, whatever connection they arrive on, execute on
+    that shard's manager, preserving the IOTLB and allocator locality
+    the shard design exists for (DESIGN.md §12, §14).
 
-    Responses are encoded straight into each request's connection
-    write buffer at execute time; because batches interleave requests
-    from many connections, a connection's responses can be reordered
-    relative to its requests — [req_id] is the correlation key.
+    Request cells are the only batch format and {!Executor.exec} the
+    only execute path: {!flush_all} runs it inline on the batch's own
+    cells ([--domains 1]); {!flush_cells} hands the same cells to the
+    executor rings ([--domains N]). Either way one encoder, the one
+    behind {!complete}, writes the response cell into the request's
+    connection write buffer.
+    Because batches interleave requests from many connections, a
+    connection's responses can be reordered relative to its requests
+    — [req_id] is the correlation key.
 
-    {!enqueue} and the translate execute path are allocation-free
-    (lint manifest; dispatch-translate bench gate). *)
+    {!enqueue}, {!complete} and the inline translate are
+    allocation-free (lint manifest; dispatch-translate bench gate). *)
 
 type t
 
@@ -48,26 +53,33 @@ val enqueue : t -> Conn.t -> Wire.req -> bool
     Allocation-free. *)
 
 val flush_shard : t -> int -> unit
-(** Execute and clear shard [sh]'s batch: each slot runs against the
-    shard's manager and its response is encoded into its connection's
-    write buffer (dead connections' slots are skipped). *)
+(** Execute and clear shard [sh]'s batch inline, one run of
+    consecutive slots from the same connection at a time:
+    {!Executor.exec} runs each cell of the run against the shard's
+    manager, then the run's response cells are encoded into the
+    connection's write buffer, in slot order, by the same encoder as
+    {!complete} — behind one reservation and one commit. Dead
+    connections' slots are skipped. *)
 
 val flush_all : t -> unit
 
 val flush_cells : t -> cell:int array -> emit:(shard:int -> unit) -> unit
-(** The multi-domain flush: pack each batched slot into [cell] (a
-    caller-owned scratch of {!Cell.req_width} ints, stamped with the
-    connection's {!Conn.token}) and call [emit ~shard] to push it onto
-    the owning executor's request ring. [emit] must consume [cell]
-    before returning (it is reused for the next slot) and must not
-    fail — the loop spins on a momentarily full ring. Dead
-    connections' slots are dropped, as in {!flush_shard}. *)
+(** The multi-domain flush: copy each batched request cell into [cell]
+    (a caller-owned scratch of {!Cell.req_width} ints), stamp its
+    {!Cell.q_slot} lane with the connection's {!Conn.token}, and call
+    [emit ~shard] to push it onto the owning executor's request ring.
+    [emit] must consume [cell] before returning (it is reused for the
+    next slot) and must not fail — the loop spins on a momentarily
+    full ring. Dead connections' slots are dropped, as in
+    {!flush_shard}. *)
 
-val complete : t -> Conn.t -> cell:int array -> unit
-(** Encode one executor {e response} cell ({!Cell.r_width} lanes) into
-    [conn]'s write buffer and retire its in-flight slot — the
-    IO-domain tail of a multi-domain execute, counted in {!executed}.
-    Allocation-free. *)
+val complete : t -> Conn.t -> cell:int array -> pos:int -> unit
+(** Encode the {e response} cell whose lanes start at [pos] of [cell]
+    ({!Cell.rsp_width} lanes) into [conn]'s write buffer and retire its
+    in-flight slot: how the IO domain finishes a cell that came back
+    off an executor ring. Its encoder is the only one for shard
+    results; {!flush_shard} runs it over whole runs of cells. Counted
+    in {!executed}. Allocation-free. *)
 
 val pending : t -> int
 (** Requests batched but not yet flushed. *)

@@ -1,8 +1,16 @@
-(** A shard executor: the consumer end of one request {!Spsc} ring and
-    the producer end of one response ring, run on its own domain by
-    the multi-domain socket loop ({!Netloop} with [domains > 1]).
+(** Shard execution: the single function that runs a request cell
+    against its shard, and the executor domain that runs it off a ring.
 
-    Each executor owns a contiguous slice of the shard array — the IO
+    {!exec} is the service's only execute path. It takes one request
+    cell ({!Cell} request lanes) and leaves the matching response cell
+    in its place, for all four ops; {!Dispatch.complete} then encodes
+    that cell into the owning connection. With
+    [--domains 1] {!Dispatch.flush_all} calls it inline on the batch's
+    own cells; with [--domains N] an executor domain ({!t}) calls it on
+    the cells it pops off its request ring and pushes each, now a
+    response cell, onto its response ring.
+
+    An executor owns a contiguous slice of the shard array — the IO
     domain routes a request cell to the executor owning its shard, so
     every shard (and its domain manager, IOVA allocator, IOTLB) is
     only ever touched by one executor domain. Request cells carry the
@@ -17,9 +25,25 @@
     responses, {!run} writes one byte to [wake_fd] so a poll-parked
     IO domain wakes to drain them.
 
-    The execute path allocates nothing on translate (lint-gated, like
-    the inline dispatch path): cells are int lanes, scratch is
-    preallocated, and shard counters are plain ints. *)
+    Translate allocates nothing (lint-gated): cells are int lanes,
+    scratch is preallocated, and shard counters are plain ints. *)
+
+(** {1 The execute path} *)
+
+type core
+(** The shard array plus the map_sg scratch {!exec} uses: one per
+    executing thread. *)
+
+val core : shards:Rio_serve.Shard.t array -> sg_limit:int -> core
+(** [shards] is the {e global} shard array ({!Cell.q_shard} indexes
+    it). *)
+
+val exec : core -> int array -> pos:int -> unit
+(** Run the request cell whose lanes start at [pos] against its shard
+    and rewrite it in place into its response cell (the {!Cell}
+    response lanes overlay the request lanes). *)
+
+(** {1 Executor domains} *)
 
 type t
 
@@ -29,8 +53,7 @@ val create :
   ring_cap:int ->
   wake_fd:Unix.file_descr ->
   t
-(** [shards] is the {e global} shard array (cells index into it);
-    [ring_cap] sizes both rings (rounded up to a power of two);
+(** [ring_cap] sizes both rings (rounded up to a power of two);
     [wake_fd] is the write end of the loop's wake pipe (nonblocking —
     a full pipe already means a wakeup is pending). *)
 

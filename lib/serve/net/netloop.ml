@@ -4,7 +4,7 @@
    flush cadence, and (with [domains > 1]) the traffic between the IO
    domain and the shard executors.
 
-   Readiness comes from {!Readiness} (poll(2) when built, else
+   Readiness comes from {!Readiness} (poll(2) by default, or
    Unix.select): fds register once into a slot table and only
    interest *changes* are re-armed, replacing PR 8's per-wakeup fd
    list rebuild. Connections live in parallel arrays indexed by a
@@ -12,13 +12,14 @@
    free-slot stack; a slot is recycled only when its connection is
    dead AND no ring cell still references it.
 
-   With [domains = 1] the decoded batches execute inline on this
-   thread, exactly the PR 8 behavior. With [domains = N > 1], N
+   Either way requests are batched as request cells and executed by
+   [Executor.exec]. With [domains = 1] the flush runs it inline on
+   this thread, on the batch's own cells. With [domains = N > 1], N
    executor domains each own a contiguous slice of the shard array;
-   flushes pack batch slots into request cells pushed onto the owning
-   executor's SPSC ring, and response cells drain back here to be
-   encoded into the owning connection's write buffer. Executors wake
-   a poll-parked loop through a self-pipe.
+   flushes copy each cell onto the owning executor's SPSC ring, and
+   response cells drain back here to be encoded into the owning
+   connection's write buffer. Executors wake a poll-parked loop
+   through a self-pipe.
 
    Wall-clock time is injected ([config.now_s]): the determinism lint
    bans Unix.gettimeofday from lib/, and keeping the clock a caller
@@ -250,7 +251,7 @@ let serve ?stop ?(on_tick = fun (_ : stats) -> ()) ~shards (cfg : config) =
         (* a dead conn keeps its slot until outstanding hits 0, so
            this response still resolves to the right connection — we
            just drop the encode *)
-        if Conn.alive c then Dispatch.complete d c ~cell:rsp_cell
+        if Conn.alive c then Dispatch.complete d c ~cell:rsp_cell ~pos:0
       done
     done
   in

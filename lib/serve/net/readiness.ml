@@ -1,5 +1,5 @@
 (* Readiness facade: runtime choice between the poll(2) backend
-   (dune-selected Readiness_poll) and a portable Unix.select backend
+   (Readiness_poll) and a portable Unix.select backend
    that reproduces PR 8's per-wakeup list building. Registration
    bookkeeping for the select path lives here — sparse handle arrays
    over a dense iteration order, same shape as Readiness_poll, so the
@@ -7,16 +7,13 @@
 
 type backend = Select | Poll
 
-let poll_available = Readiness_poll.available
-let default_backend = if poll_available then Poll else Select
+let default_backend = Poll
 
 let backend_name = function Select -> "select" | Poll -> "poll"
 
 let backend_of_string = function
   | "select" -> Ok Select
-  | "poll" ->
-      if poll_available then Ok Poll
-      else Error "backend 'poll' not available in this build"
+  | "poll" -> Ok Poll
   | s -> Error (Printf.sprintf "unknown backend %S (want poll|select)" s)
 
 (* Portable floor: platforms may set FD_SETSIZE higher, but 1024 is
@@ -155,10 +152,7 @@ let sel_iter_ready s f =
 type t = P of Readiness_poll.t | S of sel
 
 let create = function
-  | Poll ->
-      if not poll_available then
-        failwith "Readiness.create: poll backend unavailable";
-      P (Readiness_poll.create ())
+  | Poll -> P (Readiness_poll.create ())
   | Select -> S (sel_create ())
 
 let backend = function P _ -> Poll | S _ -> Select

@@ -4,8 +4,8 @@
     inherited the [FD_SETSIZE] (1024) cap. This module splits that
     concern out behind a small registration API with two backends:
 
-    - {b Poll}: poll(2) via the [rio_poll] C stubs (dune-selected;
-      see {!Readiness_poll}). Registrations are programmed once into
+    - {b Poll}: poll(2) via the [rio_poll] C stubs (see
+      {!Readiness_poll}). Registrations are programmed once into
       a C-side pollfd array, so each wakeup is one allocation-free
       [poll] call — no per-wakeup set rebuild, no fd cap.
     - {b Select}: portable [Unix.select], list-per-wait, capped at
@@ -18,15 +18,11 @@
 
 type backend = Select | Poll
 
-val poll_available : bool
-(** Whether the poll(2) stubs were built (dune select). *)
-
 val default_backend : backend
-(** [Poll] when available, else [Select]. *)
+(** [Poll]. *)
 
 val backend_of_string : string -> (backend, string) result
-(** Accepts ["poll"] and ["select"]; [Error] names the bad token.
-    Choosing ["poll"] where unavailable also returns [Error]. *)
+(** Accepts ["poll"] and ["select"]; [Error] names the bad token. *)
 
 val backend_name : backend -> string
 
@@ -47,8 +43,6 @@ val ev_err : int
 type t
 
 val create : backend -> t
-(** Raises [Failure] if [Poll] is requested but unavailable (gate
-    with {!backend_of_string} / {!poll_available}). *)
 
 val backend : t -> backend
 

@@ -1,9 +1,5 @@
-(** The poll(2) side of the {!Readiness} split, behind a dune
-    [(select)]: [readiness_poll.avail.ml] when the [rio_poll] stubs
-    library resolves, [readiness_poll.none.ml] (every call raises,
-    [available = false]) otherwise. {!Readiness} consults
-    {!available} and falls back to its portable [Unix.select] backend,
-    so callers never see the split.
+(** The poll(2) side of the {!Readiness} split, over the [rio_poll]
+    C stubs.
 
     Registrations return stable integer handles (an internal dense
     pollfd array is swap-compacted on {!unregister}; handles indirect
@@ -11,8 +7,6 @@
     {!iter_ready} — the loop's connection-slot index, so readiness
     results never need an fd-keyed lookup. {!wait} and {!iter_ready}
     are allocation-free. *)
-
-val available : bool
 
 type t
 

@@ -2,11 +2,12 @@
    round-trip properties of the riommu-wire/1 codec (decode o encode =
    id for every op, requests and responses), typed protocol errors on
    truncated / oversized / garbage frames, byte-at-a-time partial-read
-   reassembly through Conn, the backpressure admission invariant, and
+   reassembly through Conn, the backpressure admission invariant,
    the shard-affinity dispatcher (pinning, batch-full handoff,
-   bad_request rejection, end-to-end map/translate through a real
-   shard with responses decoded back out of the connection's write
-   buffer). *)
+   bad_request rejection, killed connections dropped from a batch,
+   end-to-end map/translate through a real shard with responses
+   decoded back out of the connection's write buffer), and the inline
+   flush against the executor ring path, byte for byte. *)
 
 module Wire = Rio_serve_net.Wire
 module Conn = Rio_serve_net.Conn
@@ -416,6 +417,68 @@ let test_dispatch_rejects_bad_tenant () =
   Alcotest.(check int) "rejection echoes req_id" 7 resp.Wire.r_req_id;
   Alcotest.(check int) "window retired on rejection" 0 (Conn.inflight conn)
 
+(* A connection killed while its requests sit in a batch: on either
+   flush its slots are dropped — no shard op runs, no cell is emitted,
+   nothing counts as executed — while the other connection's request
+   in the same batch is still answered. *)
+let test_dispatch_killed_conn_dropped () =
+  let run ~cells =
+    let shards = make_shards 2 in
+    let d = Dispatch.create ~shards ~batch:8 ~sg_limit () in
+    let victim = hello_conn ~window:16 and other = hello_conn ~window:16 in
+    Conn.set_token victim 0;
+    Conn.set_token other 1;
+    let req = Wire.create_req ~sg_limit in
+    let b = Bytes.create 256 in
+    (* one tenant, so all three maps share one shard batch *)
+    let map conn req_id =
+      let phys = (Shard.next_buf shards.(0) :> int) in
+      let fin = Wire.encode_map b ~pos:0 ~tenant:1 ~req_id ~phys ~bytes:4096 in
+      Alcotest.(check bool) "map enqueued" true (push d conn req b fin)
+    in
+    map victim 1;
+    map other 2;
+    map victim 3;
+    Alcotest.(check int) "all three batched" 3 (Dispatch.pending d);
+    Conn.kill victim;
+    let total_ops () =
+      Array.fold_left (fun a s -> a + Shard.total_ops s) 0 shards
+    in
+    let ops0 = total_ops () and executed0 = Dispatch.executed d in
+    (if cells then begin
+       let rd, wr = Unix.pipe ~cloexec:true () in
+       let ex = Executor.create ~shards ~sg_limit ~ring_cap:16 ~wake_fd:wr in
+       let cell = Array.make (Cell.req_width ~sg_limit) 0 in
+       let rsp = Array.make (Cell.rsp_width ~sg_limit) 0 in
+       let emitted = ref 0 in
+       Dispatch.flush_cells d ~cell ~emit:(fun ~shard:_ ->
+           incr emitted;
+           Alcotest.(check int) "only the live conn's cell" 1
+             cell.(Cell.q_slot);
+           ignore (Spsc.try_push (Executor.request_ring ex) ~src:cell : bool));
+       Alcotest.(check int) "one cell emitted" 1 !emitted;
+       Alcotest.(check int) "executor ran it" 1 (Executor.step ex);
+       Alcotest.(check bool) "its response pops" true
+         (Spsc.try_pop (Executor.response_ring ex) ~dst:rsp);
+       Dispatch.complete d other ~cell:rsp ~pos:0;
+       Unix.close rd;
+       Unix.close wr
+     end
+     else Dispatch.flush_all d);
+    Alcotest.(check int) "batch emptied" 0 (Dispatch.pending d);
+    Alcotest.(check int) "one shard op" (ops0 + 1) (total_ops ());
+    Alcotest.(check int) "one executed" (executed0 + 1) (Dispatch.executed d);
+    Alcotest.(check int) "nothing sent to the killed conn" 0
+      (Conn.queued victim);
+    let resp = Wire.create_resp ~sg_limit in
+    drain_one other resp;
+    Alcotest.(check int) "the other conn is answered" 2 resp.Wire.r_req_id;
+    Alcotest.(check int) "its map ok" Wire.st_ok resp.Wire.status;
+    Alcotest.(check int) "and only once" 0 (Conn.queued other)
+  in
+  run ~cells:false;
+  run ~cells:true
+
 (* {1 SPSC ring: oracle equivalence and boundaries} *)
 
 (* Drive a random push/pop schedule against a Queue.t oracle: pushes
@@ -537,93 +600,231 @@ let readiness_pipe_test backend () =
   Unix.close a_rd;
   Unix.close a_wr
 
-(* {1 Executor: cells through the ring, end to end} *)
+(* {1 Executor: cells through the ring, byte for byte} *)
 
-(* The multi-domain hand-off run inline on one thread: decode into
-   Dispatch, pack the batch into request cells ([flush_cells]), push
-   them through a real SPSC ring into an [Executor], [step] it, pop
-   the response cells back and [complete] them into the connection's
-   write buffer — then decode the wire responses and check they match
-   what the single-threaded [flush_all] path would have produced. *)
-let test_executor_step_roundtrip () =
-  let shards = make_shards 2 in
-  let d = Dispatch.create ~shards ~batch:8 ~sg_limit () in
-  let conn = hello_conn ~window:16 in
-  Conn.set_token conn 3;
-  let req = Wire.create_req ~sg_limit in
-  let resp = Wire.create_resp ~sg_limit in
-  let b = Bytes.create 512 in
-  let _rd, wr = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wr;
-  let ex = Executor.create ~shards ~sg_limit ~ring_cap:16 ~wake_fd:wr in
+(* One step of a generated request script. Connections and tenants are
+   small indices; [idx] picks an IOVA this tenant was handed earlier
+   (live or already unmapped) or, past the end of that list, one it
+   never had. *)
+type script_op =
+  | S_map of int * int  (* conn, tenant *)
+  | S_map_sg of int * int * int  (* conn, tenant, segments *)
+  | S_translate of int * int * int * bool  (* conn, tenant, idx, write *)
+  | S_unmap of int * int * int  (* conn, tenant, idx *)
+  | S_bad_tenant of int * int  (* conn, tenant >= max_tenants *)
+  | S_flush
+
+let script_max_tenants = 8
+
+let pp_script_op = function
+  | S_map (c, t) -> Printf.sprintf "map c%d t%d" c t
+  | S_map_sg (c, t, n) -> Printf.sprintf "map_sg c%d t%d n%d" c t n
+  | S_translate (c, t, i, w) -> Printf.sprintf "translate c%d t%d #%d w%b" c t i w
+  | S_unmap (c, t, i) -> Printf.sprintf "unmap c%d t%d #%d" c t i
+  | S_bad_tenant (c, t) -> Printf.sprintf "bad c%d t%d" c t
+  | S_flush -> "flush"
+
+let script_gen =
+  let open QCheck.Gen in
+  let conn = int_bound 1 and tenant = int_bound 3 and idx = int_bound 7 in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         (3, map2 (fun c t -> S_map (c, t)) conn tenant);
+         (1, map3 (fun c t n -> S_map_sg (c, t, n)) conn tenant (int_range 1 3));
+         ( 4,
+           map3
+             (fun (c, t) i w -> S_translate (c, t, i, w))
+             (pair conn tenant) idx bool );
+         (2, map3 (fun c t i -> S_unmap (c, t, i)) conn tenant idx);
+         ( 1,
+           map2
+             (fun c t -> S_bad_tenant (c, t))
+             conn
+             (int_range script_max_tenants (script_max_tenants + 40)) );
+         (1, return S_flush);
+       ])
+
+(* One side of the differential run: a dispatcher over its own shard
+   set, two connections (tokens 0 and 1), and everything each
+   connection has been sent so far. *)
+type side = {
+  d : Dispatch.t;
+  conns : Conn.t array;
+  req : Wire.req;
+  out : Buffer.t array;
+}
+
+let make_side shards =
+  {
+    d =
+      Dispatch.create ~shards ~batch:4 ~sg_limit
+        ~max_tenants:script_max_tenants ();
+    conns =
+      Array.init 2 (fun token ->
+          let conn = hello_conn ~window:128 in
+          Conn.set_token conn token;
+          conn);
+    req = Wire.create_req ~sg_limit;
+    out = Array.init 2 (fun _ -> Buffer.create 1024);
+  }
+
+(* Decode one frame on this side's connection and enqueue it; a full
+   batch is flushed and the request retried, as the event loop does. *)
+let side_submit s ~flush c b fin =
+  let conn = s.conns.(c) in
+  Conn.feed conn b ~pos:0 ~len:fin;
+  if Conn.next conn s.req <= 0 then failwith "script frame does not decode";
+  if not (Dispatch.enqueue s.d conn s.req) then begin
+    flush ();
+    if not (Dispatch.enqueue s.d conn s.req) then failwith "retry after flush"
+  end
+
+(* Move each connection's queued response bytes into its transcript,
+   returning the new bytes of each. *)
+let side_collect s =
+  Array.mapi
+    (fun c conn ->
+      let q = Conn.queued conn in
+      let fresh = Bytes.sub (Conn.wbuf conn) (Conn.wpos conn) q in
+      Buffer.add_bytes s.out.(c) fresh;
+      Conn.consumed conn q;
+      fresh)
+    s.conns
+
+(* The multi-domain hand-off run inline on one thread: pack the batch
+   into request cells ([flush_cells]), push them through a real SPSC
+   ring into an [Executor], [step] it, pop the response cells back and
+   [complete] each into the connection its [r_slot] names. *)
+let ring_flush ex s =
   let cell = Array.make (Cell.req_width ~sg_limit) 0 in
-  let rsp_cell = Array.make (Cell.rsp_width ~sg_limit) 0 in
-  let pump ~expect =
-    let emitted = ref 0 in
-    Dispatch.flush_cells d ~cell ~emit:(fun ~shard ->
-        Alcotest.(check bool) "shard index in range" true
-          (shard >= 0 && shard < Array.length shards);
-        incr emitted;
-        Alcotest.(check bool) "ring admits the cell" true
-          (Spsc.try_push (Executor.request_ring ex) ~src:cell));
-    Alcotest.(check int) "cells emitted" expect !emitted;
-    Alcotest.(check int) "executor ran them" expect (Executor.step ex);
-    for _ = 1 to expect do
-      Alcotest.(check bool) "response cell pops" true
-        (Spsc.try_pop (Executor.response_ring ex) ~dst:rsp_cell);
-      Alcotest.(check int) "response routes to the conn slot" 3
-        rsp_cell.(Cell.r_slot);
-      Dispatch.complete d conn ~cell:rsp_cell
+  let rsp = Array.make (Cell.rsp_width ~sg_limit) 0 in
+  fun () ->
+    Dispatch.flush_cells s.d ~cell ~emit:(fun ~shard:_ ->
+        if not (Spsc.try_push (Executor.request_ring ex) ~src:cell) then
+          failwith "request ring full");
+    ignore (Executor.step ex : int);
+    while Spsc.try_pop (Executor.response_ring ex) ~dst:rsp do
+      Dispatch.complete s.d s.conns.(rsp.(Cell.r_slot)) ~cell:rsp ~pos:0
     done
-  in
-  (* map, recover the iova from the encoded response *)
-  let phys = (Shard.next_buf shards.(0) :> int) in
-  let fin = Wire.encode_map b ~pos:0 ~tenant:1 ~req_id:700 ~phys ~bytes:4096 in
-  Alcotest.(check bool) "map enqueued" true (push d conn req b fin);
-  pump ~expect:1;
-  drain_one conn resp;
-  Alcotest.(check int) "map answers its req_id" 700 resp.Wire.r_req_id;
-  Alcotest.(check int) "map ok" Wire.st_ok resp.Wire.status;
-  let iova = resp.Wire.r_iova in
-  (* translate + a stale-tenant mix in one batch *)
-  let fin =
-    Wire.encode_translate b ~pos:0 ~tenant:1 ~req_id:701 ~iova ~write:true
-  in
-  Alcotest.(check bool) "translate enqueued" true (push d conn req b fin);
-  let fin = Wire.encode_unmap b ~pos:0 ~tenant:1 ~req_id:702 ~iova in
-  Alcotest.(check bool) "unmap enqueued" true (push d conn req b fin);
-  pump ~expect:2;
-  drain_one conn resp;
-  Alcotest.(check int) "translate answers its req_id" 701 resp.Wire.r_req_id;
-  Alcotest.(check int) "translate returns the mapped frame" phys
-    resp.Wire.r_phys;
-  drain_one conn resp;
-  Alcotest.(check int) "unmap ok" Wire.st_ok resp.Wire.status;
-  (* a faulting translate still routes an error cell back *)
-  let fin =
-    Wire.encode_translate b ~pos:0 ~tenant:1 ~req_id:703 ~iova ~write:false
-  in
-  Alcotest.(check bool) "stale translate enqueued" true (push d conn req b fin);
-  pump ~expect:1;
-  drain_one conn resp;
-  Alcotest.(check int) "stale translate faults" Wire.st_fault resp.Wire.status;
-  Alcotest.(check int) "fault echoes req_id" 703 resp.Wire.r_req_id;
-  (* map_sg exercises the segment lanes of both cell directions *)
-  let segs = Array.init 3 (fun _ -> (Shard.next_buf shards.(0) :> int)) in
-  let fin =
-    Wire.encode_map_sg b ~pos:0 ~tenant:1 ~req_id:704 ~seg_phys:segs
-      ~seg_bytes:(Array.make 3 4096) ~n:3
-  in
-  Alcotest.(check bool) "map_sg enqueued" true (push d conn req b fin);
-  pump ~expect:1;
-  drain_one conn resp;
-  Alcotest.(check int) "map_sg ok" Wire.st_ok resp.Wire.status;
-  Alcotest.(check int) "map_sg returns every iova" 3 resp.Wire.r_nseg;
-  Alcotest.(check int) "executor counted the work" 5 (Executor.executed ex);
-  Alcotest.(check int) "completions counted" 5 (Dispatch.executed d);
-  Alcotest.(check int) "window fully retired" 0 (Conn.inflight conn);
-  Unix.close _rd;
-  Unix.close wr
+
+(* The same generated script — maps, map_sgs, translates and unmaps of
+   live, stale and never-mapped IOVAs, out-of-range tenants, flush
+   points — runs through the inline path ([flush_all]) on one shard
+   set and through the ring path ([flush_cells] -> [Executor.step] ->
+   [complete]) on an identical twin. Every connection must receive
+   byte-identical response streams. The IOVAs later requests name are
+   read back from the inline side's responses, so a twin that handed
+   out different ones would answer differently. *)
+let prop_executor_step_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"cells through the ring"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_script_op ops))
+       script_gen)
+    (fun script ->
+      let inline = make_side (make_shards 2) in
+      let ring_shards = make_shards 2 in
+      let ring = make_side ring_shards in
+      let rd, wr = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock wr;
+      let ex = Executor.create ~shards:ring_shards ~sg_limit ~ring_cap:16 ~wake_fd:wr in
+      let flush_inline () = Dispatch.flush_all inline.d in
+      let flush_ring = ring_flush ex ring in
+      (* per tenant, every IOVA handed out so far (newest first) *)
+      let known = Array.make 4 [] in
+      let tenant_of = Hashtbl.create 64 in
+      let resp = Wire.create_resp ~sg_limit in
+      let learn fresh =
+        let pos = ref 0 in
+        while !pos < Bytes.length fresh do
+          let r =
+            Wire.decode_response fresh ~pos:!pos
+              ~avail:(Bytes.length fresh - !pos) resp
+          in
+          if r <= 0 then failwith "response stream does not decode";
+          pos := !pos + r;
+          (match Hashtbl.find_opt tenant_of resp.Wire.r_req_id with
+          | Some t when resp.Wire.status = Wire.st_ok ->
+              if resp.Wire.r_op = Wire.op_map then
+                known.(t) <- resp.Wire.r_iova :: known.(t)
+              else if resp.Wire.r_op = Wire.op_map_sg then
+                for k = 0 to resp.Wire.r_nseg - 1 do
+                  known.(t) <- resp.Wire.r_iovas.(k) :: known.(t)
+                done
+          | _ -> ())
+        done
+      in
+      let sync () =
+        flush_inline ();
+        flush_ring ();
+        Array.iter learn (side_collect inline);
+        ignore (side_collect ring : Bytes.t array)
+      in
+      let iova_of t i =
+        match List.nth_opt known.(t) i with
+        | Some iova -> iova
+        | None -> 0x40_0000_0000 + (i * Addr.page_size)
+      in
+      let b = Bytes.create 512 in
+      List.iteri
+        (fun req_id op ->
+          let send c tenant fin =
+            Hashtbl.replace tenant_of req_id tenant;
+            side_submit inline ~flush:flush_inline c b fin;
+            side_submit ring ~flush:flush_ring c b fin
+          in
+          match op with
+          | S_map (c, t) ->
+              let phys = (Shard.next_buf ring_shards.(0) :> int) in
+              send c t
+                (Wire.encode_map b ~pos:0 ~tenant:t ~req_id ~phys
+                   ~bytes:Addr.page_size)
+          | S_map_sg (c, t, n) ->
+              let seg_phys =
+                Array.init n (fun _ -> (Shard.next_buf ring_shards.(0) :> int))
+              in
+              send c t
+                (Wire.encode_map_sg b ~pos:0 ~tenant:t ~req_id ~seg_phys
+                   ~seg_bytes:(Array.make n Addr.page_size) ~n)
+          | S_translate (c, t, i, write) ->
+              send c t
+                (Wire.encode_translate b ~pos:0 ~tenant:t ~req_id
+                   ~iova:(iova_of t i) ~write)
+          | S_unmap (c, t, i) ->
+              send c t
+                (Wire.encode_unmap b ~pos:0 ~tenant:t ~req_id
+                   ~iova:(iova_of t i))
+          | S_bad_tenant (c, t) ->
+              send c 0
+                (Wire.encode_translate b ~pos:0 ~tenant:t ~req_id ~iova:0
+                   ~write:false)
+          | S_flush -> sync ())
+        script;
+      sync ();
+      Unix.close rd;
+      Unix.close wr;
+      let answered =
+        Array.fold_left (fun a buf -> a + Buffer.length buf) 0 inline.out
+      in
+      for c = 0 to 1 do
+        let a = Buffer.contents inline.out.(c)
+        and r = Buffer.contents ring.out.(c) in
+        if a <> r then
+          QCheck.Test.fail_reportf
+            "conn %d: inline sent %d bytes, ring path %d; first difference at %d"
+            c (String.length a) (String.length r)
+            (let i = ref 0 in
+             while !i < String.length a && !i < String.length r && a.[!i] = r.[!i] do
+               incr i
+             done;
+             !i);
+        if Conn.inflight inline.conns.(c) <> 0 || Conn.inflight ring.conns.(c) <> 0
+        then QCheck.Test.fail_reportf "conn %d: window not fully retired" c
+      done;
+      (answered > 0 || List.for_all (( = ) S_flush) script)
+      && Dispatch.executed inline.d = Dispatch.executed ring.d
+      && Dispatch.rejected inline.d = Dispatch.rejected ring.d
+      && Executor.executed ex = Dispatch.executed ring.d)
 
 (* {1 Runner} *)
 
@@ -652,6 +853,8 @@ let () =
           Alcotest.test_case "batch-full handoff" `Quick test_dispatch_batch_full;
           Alcotest.test_case "bad tenant rejected" `Quick
             test_dispatch_rejects_bad_tenant;
+          Alcotest.test_case "killed conn dropped from batch" `Quick
+            test_dispatch_killed_conn_dropped;
         ] );
       ( "spsc",
         [
@@ -660,18 +863,14 @@ let () =
             test_spsc_boundaries;
         ] );
       ( "readiness",
-        Alcotest.test_case "select backend" `Quick
-          (readiness_pipe_test Readiness.Select)
-        ::
-        (if Readiness.poll_available then
-           [
-             Alcotest.test_case "poll backend" `Quick
-               (readiness_pipe_test Readiness.Poll);
-           ]
-         else []) );
+        [
+          Alcotest.test_case "select backend" `Quick
+            (readiness_pipe_test Readiness.Select);
+          Alcotest.test_case "poll backend" `Quick
+            (readiness_pipe_test Readiness.Poll);
+        ] );
       ( "executor",
         [
-          Alcotest.test_case "cells through the ring" `Quick
-            test_executor_step_roundtrip;
+          QCheck_alcotest.to_alcotest prop_executor_step_roundtrip;
         ] );
     ]

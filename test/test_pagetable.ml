@@ -1,4 +1,6 @@
-(* Unit and property tests for the 4-level radix page table (rio_pagetable). *)
+(* Unit and property tests for the 4-level page tables: the boxed radix
+   reference (radix.ml, this directory) and the flat Rio_pagetable.Arena
+   it is the differential oracle for. *)
 
 module Addr = Rio_memory.Addr
 module Coherency = Rio_memory.Coherency
@@ -6,7 +8,6 @@ module Frame_allocator = Rio_memory.Frame_allocator
 module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
 module Pte = Rio_pagetable.Pte
-module Radix = Rio_pagetable.Radix
 
 let make ?(coherent = false) () =
   let clock = Cycles.create () in
