@@ -66,6 +66,9 @@ let run_listen ~addr ~shards:nshards ~tenants ~capacity ~policy ~rcache ~sg_max
       let on_signal = Sys.Signal_handle (fun _ -> Rio_exec.Flag.set stop) in
       Sys.set_signal Sys.sigterm on_signal;
       Sys.set_signal Sys.sigint on_signal;
+      (* a peer that closes with responses queued must cost its
+         connection (EPIPE), not the server (SIGPIPE) *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       let cfg =
         {
           (Netloop.default_config ~addr) with
@@ -251,9 +254,7 @@ let serve_term =
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Worker domains driving the shards: 1 sequential, 0 one per \
-             core. Needs an OCaml 5 runtime to parallelize; a 4.14 build \
-             accepts the flag and runs sequentially. Output is \
-             byte-identical at every level.")
+             core. Output is byte-identical at every level.")
   in
   let tenants =
     Arg.(
@@ -349,8 +350,7 @@ let serve_term =
           ~doc:
             "Shard executor domains ($(b,--listen) mode): 1 executes on the \
              IO thread (the classic loop); N>1 runs N executor domains \
-             connected by SPSC rings (OCaml 5 only; clamped to the shard \
-             count, and to 1 on a 4.14 runtime).")
+             connected by SPSC rings (clamped to the shard count).")
   in
   let backend =
     Arg.(

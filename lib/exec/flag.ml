@@ -1,5 +1,5 @@
-type t = Backend.flag
+type t = bool Atomic.t
 
-let create = Backend.flag_create
-let set = Backend.flag_set
-let get = Backend.flag_get
+let create () = Atomic.make false
+let set t = Atomic.set t true
+let get = Atomic.get

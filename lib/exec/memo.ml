@@ -1,7 +1,7 @@
-type 'v slot = { slot_lock : Lock.t; mutable value : 'v option }
-type ('k, 'v) t = { lock : Lock.t; table : ('k, 'v slot) Hashtbl.t }
+type 'v slot = { slot_lock : Mutex.t; mutable value : 'v option }
+type ('k, 'v) t = { lock : Mutex.t; table : ('k, 'v slot) Hashtbl.t }
 
-let create ?(size = 16) () = { lock = Lock.create (); table = Hashtbl.create size }
+let create ?(size = 16) () = { lock = Mutex.create (); table = Hashtbl.create size }
 
 let find_or_add t key f =
   (* Get-or-insert the per-key slot under the (cheap) table lock, then
@@ -10,15 +10,15 @@ let find_or_add t key f =
      compute in parallel. If [f] raises, the slot stays empty and the
      next caller retries. *)
   let slot =
-    Lock.protect t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         match Hashtbl.find_opt t.table key with
         | Some s -> s
         | None ->
-            let s = { slot_lock = Lock.create (); value = None } in
+            let s = { slot_lock = Mutex.create (); value = None } in
             Hashtbl.add t.table key s;
             s)
   in
-  Lock.protect slot.slot_lock (fun () ->
+  Mutex.protect slot.slot_lock (fun () ->
       match slot.value with
       | Some v -> v
       | None ->
@@ -27,16 +27,16 @@ let find_or_add t key f =
           v)
 
 let mem t key =
-  Lock.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some { value = Some _; _ } -> true
       | Some { value = None; _ } | None -> false)
 
 let once f =
-  let lock = Lock.create () in
+  let lock = Mutex.create () in
   let cell = ref None in
   fun () ->
-    Lock.protect lock (fun () ->
+    Mutex.protect lock (fun () ->
         match !cell with
         | Some v -> v
         | None ->

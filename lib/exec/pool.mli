@@ -7,19 +7,16 @@
     task is a pure function of its own inputs - the cell contract of
     DESIGN.md §10).
 
-    On OCaml 5 the tasks are spread over a fixed pool of [jobs] domains
-    with per-worker queues and work stealing; on OCaml 4.x (or with
-    [jobs <= 1]) they run sequentially on the calling thread. An
-    exception raised by any task aborts the run and is re-raised (with
-    its backtrace) once the pool has quiesced. *)
-
-val parallelism_available : bool
-(** [true] when this build can actually run tasks concurrently (OCaml 5
-    domains backend); [false] on the sequential 4.x fallback. *)
+    With [jobs > 1] the tasks are spread over a fixed pool of [jobs]
+    domains with per-worker queues and work stealing; with [jobs <= 1]
+    they run sequentially on the calling domain. An exception raised by
+    any task aborts the run and is re-raised (with its backtrace) once
+    the pool has quiesced. *)
 
 val default_jobs : unit -> int
-(** The recommended domain count of the machine (1 on the sequential
-    backend). This is what [jobs = 0] resolves to. *)
+(** The recommended domain count of the machine
+    ([Domain.recommended_domain_count]). This is what [jobs = 0]
+    resolves to. *)
 
 val run : ?jobs:int -> (unit -> 'a) array -> 'a array
 (** [jobs] defaults to 1 (sequential). [0] means "one worker per

@@ -20,7 +20,7 @@
     {!step} is the synchronous core (drain what is currently queued,
     execute, push response cells) and is what unit tests drive on a
     single thread; {!run} wraps it in the domain loop — spin briefly
-    ([Domains.relax]), then nap, and exit once {!request_stop} has
+    ([Domain.cpu_relax]), then nap, and exit once {!request_stop} has
     been called and the request ring is empty. After pushing
     responses, {!run} writes one byte to [wake_fd] so a poll-parked
     IO domain wakes to drain them.

@@ -1,18 +1,17 @@
 (** The socket event loop behind [riommu-serve --listen].
 
-    Nonblocking fds behind a {!Readiness} backend (poll(2) when
-    built, [Unix.select] as the portable fallback): accept new
-    connections into a slot table, read into per-connection buffers,
-    decode admissible requests ({!Conn.can_admit} is the backpressure
-    gate), batch them by shard affinity ({!Dispatch}), flush once per
-    poll iteration, and write queued responses back. Registrations
-    are armed once and only interest {e changes} are re-programmed —
-    no per-wakeup fd-set rebuild.
+    Nonblocking fds behind a {!Readiness} backend (poll(2) by default,
+    [Unix.select] on request): accept new connections into a slot
+    table, read into per-connection buffers, decode admissible
+    requests ({!Conn.can_admit} is the backpressure gate), batch them
+    by shard affinity ({!Dispatch}), flush once per wakeup, and write
+    queued responses back. Registrations are armed once and only
+    interest {e changes} are re-programmed — no per-wakeup fd-set
+    rebuild.
 
     With [domains = 1] (the default) shards execute on the loop
     thread, exactly the single-dispatcher design of DESIGN.md §14.
-    With [domains = N > 1] (OCaml 5 only; silently clamped to 1 where
-    domains are unavailable, and to the shard count always), N shard
+    With [domains = N > 1] (clamped to the shard count), N shard
     executor domains each own a contiguous slice of the shard array:
     flushes pack batch slots into fixed-width integer cells pushed
     over bounded {!Spsc} rings, executors run them against their
@@ -20,6 +19,10 @@
     those into the owning connection's write buffer — sockets and
     buffers never leave the IO domain. Executors wake a parked loop
     through a self-pipe. See DESIGN.md §15.
+
+    The loop is a state record {!t} driven one wakeup at a time by
+    {!step}; {!serve} is {!create}, {!step} until stopped, then
+    {!shutdown}. Tests drive the three directly.
 
     Wall-clock time never enters the library: callers inject [now_s]
     (the binary passes [Unix.gettimeofday], which the determinism lint
@@ -71,18 +74,41 @@ type stats = {
   mutable bytes_out : int;
 }
 
+type t
+(** One loop's state: listener, readiness registrations, connection
+    slot table, dispatcher, executor domains and counters. *)
+
+val create :
+  ?on_tick:(stats -> unit) -> shards:Rio_serve.Shard.t array -> config -> t
+(** Bind and listen on [config.addr], register the listener, and spawn
+    the executor domains (when [domains > 1]). [on_tick] fires from
+    {!step} at most every [tick_every_s] wall seconds with live
+    counters. *)
+
+val step : t -> unit
+(** One wakeup: wait up to 50 ms for readiness; accept, read and
+    decode (enqueueing into the dispatcher) as fds surface; flush the
+    batches once; drain executor responses; write queued responses;
+    close dead connections; re-arm interest; tick. Out of file
+    descriptors, accepting pauses until a connection is closed. *)
+
+val stats : t -> stats
+(** The live counters, with the dispatcher- and executor-derived
+    fields ([responses], [batch_flushes], [rejected], [domain_ops])
+    brought up to date. *)
+
+val shutdown : t -> stats
+(** Flush outstanding batches (waiting for in-flight ring cells and
+    joining executor domains first when [domains > 1]), best-effort
+    drain each connection's queued responses, close everything
+    (unlinking a unix-domain path), and return the final counters.
+    Shard histograms and tenant stats are readable afterwards exactly
+    like after a simulated run. *)
+
 val serve :
   ?stop:Rio_exec.Flag.t ->
   ?on_tick:(stats -> unit) ->
   shards:Rio_serve.Shard.t array ->
   config ->
   stats
-(** Listen and serve until [stop] is raised, then flush outstanding
-    batches (waiting for in-flight ring cells and joining executor
-    domains first when [domains > 1]), best-effort drain each
-    connection's queued responses, close everything (unlinking a
-    unix-domain path), and return the final counters. [on_tick] fires
-    at most every [tick_every_s] wall seconds with live counters.
-    Shard histograms and tenant stats are readable after return
-    exactly like after a simulated run (executor domains are joined
-    before it). *)
+(** [create], then {!step} until [stop] is raised, then {!shutdown}. *)

@@ -3,7 +3,7 @@
     [run] hosts [shards] independent {!Shard}s, each driven by its own
     {!Loadgen}, and advances them in lockstep over snapshot intervals:
     every tick, a {!Rio_exec.Pool.run} fans the shards out over [jobs]
-    worker domains (sequential on the 4.x backend), each shard executes
+    worker domains (sequential at [jobs = 1]), each shard executes
     its event queue up to the tick's simulated-time deadline, and the
     join barrier publishes the shards' histograms to the reporter,
     which merges them into a cumulative {!snapshot}.

@@ -6,8 +6,10 @@
    the shard-affinity dispatcher (pinning, batch-full handoff,
    bad_request rejection, killed connections dropped from a batch,
    end-to-end map/translate through a real shard with responses
-   decoded back out of the connection's write buffer), and the inline
-   flush against the executor ring path, byte for byte. *)
+   decoded back out of the connection's write buffer), the inline
+   flush against the executor ring path, byte for byte, and the whole
+   event loop (Netloop) driven one wakeup at a time over a unix
+   socket, including running out of file descriptors. *)
 
 module Wire = Rio_serve_net.Wire
 module Conn = Rio_serve_net.Conn
@@ -16,6 +18,7 @@ module Spsc = Rio_serve_net.Spsc
 module Cell = Rio_serve_net.Cell
 module Executor = Rio_serve_net.Executor
 module Readiness = Rio_serve_net.Readiness
+module Netloop = Rio_serve_net.Netloop
 module Shard = Rio_serve.Shard
 module Shared_iotlb = Rio_domain.Shared_iotlb
 module Addr = Rio_memory.Addr
@@ -826,9 +829,245 @@ let prop_executor_step_roundtrip =
       && Dispatch.rejected inline.d = Dispatch.rejected ring.d
       && Executor.executed ex = Dispatch.executed ring.d)
 
+
+(* {1 Netloop: the event loop, one wakeup at a time} *)
+
+(* A fresh unix-socket path in its own temp dir. *)
+let temp_sock () =
+  let dir = Filename.temp_file "riommu-net" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Filename.concat dir "s.sock"
+
+type client = { fd : Unix.file_descr; got : Buffer.t }
+
+let connect path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.set_nonblock fd;
+  { fd; got = Buffer.create 256 }
+
+let frame = Bytes.create 512
+
+let send c n =
+  let off = ref 0 in
+  while !off < n do
+    off := !off + Unix.single_write c.fd frame !off (n - !off)
+  done
+
+let send_hello c = send c (Wire.encode_hello frame ~pos:0 ~bdf:0x0100 ~flags:0)
+
+(* Everything the server has written to [c] so far. *)
+let pull c =
+  let b = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read c.fd b 0 (Bytes.length b) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes c.got b 0 n;
+        go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  go ()
+
+(* The decoded responses received by [c], in order. *)
+let responses c =
+  let b = Buffer.to_bytes c.got in
+  let rec go pos acc =
+    let r = Wire.create_resp ~sg_limit in
+    let n = Wire.decode_response b ~pos ~avail:(Bytes.length b - pos) r in
+    if n > 0 then go (pos + n) (r :: acc) else List.rev acc
+  in
+  go 0 []
+
+(* Step the loop until [cond] holds (bounded: a step waits at most
+   50 ms, so this gives up after a few seconds). *)
+let step_until t clients what cond =
+  let rec go k =
+    List.iter pull clients;
+    if not (cond ()) then
+      if k = 0 then Alcotest.failf "netloop: timed out waiting for %s" what
+      else begin
+        Netloop.step t;
+        go (k - 1)
+      end
+  in
+  go 200
+
+let got_n c n () = List.length (responses c) >= n
+
+(* Two clients on tenants pinned to different shards, so each
+   connection's responses come from one executor in order and the
+   byte streams do not depend on executor timing. Client a runs a
+   map/map_sg/translate/unmap script in three rounds; client b maps and
+   translates, then leaves mid-frame. Returns each client's response
+   bytes and the loop's final stats. *)
+let netloop_script ~domains =
+  let shards = make_shards 2 in
+  let probe = Dispatch.create ~shards ~batch:1 ~sg_limit () in
+  let tenant_on sh =
+    let rec find t =
+      if Dispatch.shard_of probe ~tenant:t ~bdf:0x0100 = sh then t else find (t + 1)
+    in
+    find 0
+  in
+  let ta = tenant_on 0 and tb = tenant_on 1 in
+  let path = temp_sock () in
+  let cfg =
+    { (Netloop.default_config ~addr:(Netloop.Unix_path path)) with domains; sg_limit }
+  in
+  let t = Netloop.create ~shards cfg in
+  let a = connect path and b = connect path in
+  let clients = [ a; b ] in
+  let map c ~tenant ~req_id ~phys ~bytes =
+    send c (Wire.encode_map frame ~pos:0 ~tenant ~req_id ~phys ~bytes)
+  in
+  let translate c ~tenant ~req_id ~iova =
+    send c (Wire.encode_translate frame ~pos:0 ~tenant ~req_id ~iova ~write:false)
+  in
+  let unmap c ~tenant ~req_id ~iova =
+    send c (Wire.encode_unmap frame ~pos:0 ~tenant ~req_id ~iova)
+  in
+  (* round 1: maps *)
+  send_hello a;
+  send_hello b;
+  map a ~tenant:ta ~req_id:1 ~phys:0x10_0000 ~bytes:4096;
+  map a ~tenant:ta ~req_id:2 ~phys:0x20_0000 ~bytes:8192;
+  send a
+    (Wire.encode_map_sg frame ~pos:0 ~tenant:ta ~req_id:3
+       ~seg_phys:[| 0x30_0000; 0x40_0000 |] ~seg_bytes:[| 4096; 4096 |] ~n:2);
+  map b ~tenant:tb ~req_id:1 ~phys:0x50_0000 ~bytes:4096;
+  step_until t clients "round 1" (fun () -> got_n a 3 () && got_n b 1 ());
+  let iova c k = (List.nth (responses c) k).Wire.r_iova in
+  let a1 = iova a 0 and a2 = iova a 1 in
+  let sg1 = (List.nth (responses a) 2).Wire.r_iovas.(1) in
+  (* round 2: translate, unmap, translate-after-unmap *)
+  translate a ~tenant:ta ~req_id:4 ~iova:a1;
+  unmap a ~tenant:ta ~req_id:5 ~iova:a1;
+  translate a ~tenant:ta ~req_id:6 ~iova:a1;
+  translate a ~tenant:ta ~req_id:7 ~iova:sg1;
+  unmap a ~tenant:ta ~req_id:8 ~iova:a2;
+  translate b ~tenant:tb ~req_id:2 ~iova:(iova b 0);
+  step_until t clients "round 2" (fun () -> got_n a 8 () && got_n b 2 ());
+  (* b leaves halfway through a frame *)
+  let n = Wire.encode_translate frame ~pos:0 ~tenant:tb ~req_id:3 ~iova:0 ~write:false in
+  send b (n / 2);
+  Unix.close b.fd;
+  step_until t [ a ] "b reaped" (fun () -> (Netloop.stats t).Netloop.closed = 1);
+  (* round 3: a is still served *)
+  translate a ~tenant:ta ~req_id:9 ~iova:a2;
+  step_until t [ a ] "round 3" (got_n a 9);
+  let st = Netloop.shutdown t in
+  Unix.close a.fd;
+  Alcotest.(check bool) "socket path unlinked" false (Sys.file_exists path);
+  Sys.rmdir (Filename.dirname path);
+  (Buffer.contents a.got, Buffer.contents b.got, responses a, st)
+
+let test_netloop_script () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a1, b1, ra, st1 = netloop_script ~domains:1 in
+  let a2, b2, _, st2 = netloop_script ~domains:2 in
+  Alcotest.(check int) "two executor domains" 2 st2.Netloop.domains;
+  Alcotest.(check string) "client a: same bytes at 1 and 2 domains" a1 a2;
+  Alcotest.(check string) "client b: same bytes at 1 and 2 domains" b1 b2;
+  let status k = (List.nth ra k).Wire.status in
+  Alcotest.(check (list int)) "req ids in order" [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+    (List.map (fun r -> r.Wire.r_req_id) ra);
+  Alcotest.(check int) "translate returns the mapped frame" 0x10_0000
+    (List.nth ra 3).Wire.r_phys;
+  Alcotest.(check int) "unmap ok" Wire.st_ok (status 4);
+  Alcotest.(check int) "translate after unmap faults" Wire.st_fault (status 5);
+  Alcotest.(check int) "map_sg segment translates" 0x40_0000 (List.nth ra 6).Wire.r_phys;
+  Alcotest.(check int) "translate after its unmap faults" Wire.st_fault (status 8);
+  List.iter
+    (fun (st : Netloop.stats) ->
+      Alcotest.(check int) "requests" 11 st.requests;
+      Alcotest.(check int) "requests = responses" st.requests st.responses;
+      Alcotest.(check int) "accepted" 2 st.accepted;
+      Alcotest.(check int) "accepted = closed" st.accepted st.closed;
+      Alcotest.(check int) "no protocol errors" 0 st.protocol_errors)
+    [ st1; st2 ]
+
+(* Run out of file descriptors: under a small [ulimit -n], connect
+   clients until the loop's accept fails. The loop must keep serving
+   the connections it has, resume accepting once a connection closes,
+   and shut down cleanly. Runs in a child process (this executable,
+   re-executed under the limit); [Error] carries what went wrong. *)
+let fd_exhaustion () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path = temp_sock () in
+  let cfg = { (Netloop.default_config ~addr:(Netloop.Unix_path path)) with max_conns = 200 } in
+  let t = Netloop.create ~shards:(make_shards 1) cfg in
+  let accepted () = (Netloop.stats t).Netloop.accepted in
+  (* one spare descriptor, released if the client side runs out first
+     so that the last client is always the one the loop cannot accept *)
+  let spare = ref (Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)) in
+  let rec open_client () =
+    match connect path with
+    | c -> c
+    | exception Unix.Unix_error (Unix.EMFILE, _, _) -> (
+        match !spare with
+        | Some fd ->
+            Unix.close fd;
+            spare := None;
+            open_client ()
+        | None -> failwith "client side out of descriptors")
+  in
+  let rec fill live =
+    let c = open_client () in
+    let before = accepted () in
+    Netloop.step t;
+    Netloop.step t;
+    if accepted () > before then fill (c :: live) else (c, List.rev live)
+  in
+  let pending, live = fill [] in
+  let n = accepted () in
+  if n < 2 then failwith "fewer than two connections before exhaustion";
+  let first = List.hd live and second = List.nth live 1 in
+  let request c req_id =
+    send_hello c;
+    send c (Wire.encode_map frame ~pos:0 ~tenant:0 ~req_id ~phys:0x10_0000 ~bytes:4096)
+  in
+  request first 1;
+  request pending 2;
+  step_until t [ first ] "an answer while out of descriptors" (got_n first 1);
+  if accepted () <> n then failwith "accepted while out of descriptors";
+  Unix.close second.fd;
+  step_until t [ pending ] "the pending connection's answer" (got_n pending 1);
+  let st = Netloop.shutdown t in
+  List.iter (fun c -> if c != second then Unix.close c.fd) (pending :: live);
+  Option.iter Unix.close !spare;
+  if st.accepted <> n + 1 then failwith "pending connection not accepted";
+  if st.accepted <> st.closed then failwith "accepted <> closed";
+  if st.requests <> 2 || st.responses <> 2 then failwith "requests <> responses";
+  if Sys.file_exists path then failwith "socket path left behind";
+  Sys.rmdir (Filename.dirname path)
+
+let fd_exhaustion_flag = "--fd-exhaustion-child"
+
+let test_netloop_fd_exhaustion () =
+  let pid =
+    Unix.create_process "/bin/sh"
+      [| "sh"; "-c"; "ulimit -n 64 && exec \"$0\" \"$1\""; Sys.executable_name;
+         fd_exhaustion_flag |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED n -> Alcotest.failf "fd-exhaustion child exited %d" n
+  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+      Alcotest.failf "fd-exhaustion child killed by signal %d" n
+
 (* {1 Runner} *)
 
 let () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = fd_exhaustion_flag then begin
+    (try fd_exhaustion ()
+     with e ->
+       prerr_endline ("fd exhaustion: " ^ Printexc.to_string e);
+       exit 1);
+    exit 0
+  end;
   Alcotest.run "rio_serve_net"
     [
       ( "wire",
@@ -872,5 +1111,12 @@ let () =
       ( "executor",
         [
           QCheck_alcotest.to_alcotest prop_executor_step_roundtrip;
+        ] );
+      ( "netloop",
+        [
+          Alcotest.test_case "script over a unix socket at 1 and 2 domains"
+            `Quick test_netloop_script;
+          Alcotest.test_case "out of file descriptors keeps serving" `Quick
+            test_netloop_fd_exhaustion;
         ] );
     ]

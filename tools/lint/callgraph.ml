@@ -237,7 +237,7 @@ let rec resolve_mods t u ~depth mods fname =
                 | _ :: _ as ds -> ds
                 | [] -> (
                     (* manifest hint: functor parameter / first-class
-                       module / select facade *)
+                       module *)
                     match Hashtbl.find_opt t.m_aliases (u.u_file, head) with
                     | Some targets ->
                         List.concat_map

@@ -2,8 +2,8 @@
    io-domain root and the executor root; [guarded] goes through a
    sanctioned constructor; [spawn_leak] hands a closure capturing the
    shared location to a spawner. [Pool.run] stands in for Domain.spawn
-   so the fixture typechecks on every CI compiler (4.14 has no
-   Domain). *)
+   so the fixture runs its closure inline instead of spawning a real
+   domain. *)
 
 module Pool = struct
   let run f = f ()

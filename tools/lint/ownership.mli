@@ -6,7 +6,7 @@
     is computed per role; a toplevel mutable location reachable from two
     distinct roles is flagged with both witness chains, unless its
     defining spine goes through a sanctioned constructor
-    ([Atomic.make], [Spsc.create], [Exec.Lock.create], ...) or the
+    ([Atomic.make], [Spsc.create], [Mutex.create], ...) or the
     finding is waived.
 
     A second check flags closure literals passed to a manifest-listed

@@ -98,7 +98,7 @@ let determinism (m : Manifest.t) str =
    Module-level [let]s must not create unsynchronized mutable state:
    anything a pool worker could reach as a shared global. State built
    inside functions is fine (per-instance), as is state wrapped in the
-   sanctioned [Exec.Memo]/[Exec.Lock] constructors. *)
+   sanctioned [Exec.Memo]/[Mutex] constructors. *)
 
 let mutable_record_fields fields =
   Array.exists
@@ -360,19 +360,7 @@ let transitive_zero_alloc (m : Manifest.t) cg =
 
    Walks the (build-tree copy of the) source dirs directly: every [.ml]
    must ship an [.mli]. Generated alias modules end in [.ml-gen] and
-   are skipped. A dune-(select)ed variant [name.variant.ml] is covered
-   by the base [name.mli] that dune applies to whichever variant it
-   picks, so those are skipped too when the base interface exists —
-   which variants sit in the build tree depends on the compiler
-   version, and a per-variant waiver would go stale on the other one. *)
-
-let selected_variant_of dir entry =
-  match String.index_opt (Filename.chop_suffix entry ".ml") '.' with
-  | None -> None
-  | Some i ->
-      let base = String.sub entry 0 i in
-      let mli = Filename.concat dir (base ^ ".mli") in
-      if Sys.file_exists mli then Some base else None
+   are skipped. *)
 
 let interface (m : Manifest.t) ~root =
   if not m.iface_require_mli then []
@@ -390,10 +378,7 @@ let interface (m : Manifest.t) ~root =
                 let rel = Filename.concat rel_dir entry in
                 let abs_e = Filename.concat abs entry in
                 if Sys.is_directory abs_e then scan rel
-                else if
-                  Filename.check_suffix entry ".ml"
-                  && selected_variant_of abs entry = None
-                then
+                else if Filename.check_suffix entry ".ml" then
                   let mli = Filename.chop_suffix abs_e ".ml" ^ ".mli" in
                   if not (Sys.file_exists mli) then
                     acc :=
