@@ -1,6 +1,7 @@
 module Addr = Rio_memory.Addr
 module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
+module Int_table = Rio_sim.Int_table
 
 type fault =
   | Unknown_device
@@ -21,7 +22,7 @@ let pp_fault fmt f =
     | Direction_denied -> "direction denied")
 
 type t = {
-  devices : (int, Rdevice.t) Hashtbl.t;
+  devices : Rdevice.t Int_table.t;
   riotlb : Riotlb.t;
   clock : Cycles.t;
   cost : Cost_model.t;
@@ -31,11 +32,11 @@ type t = {
 }
 
 let create ~clock ~cost =
-  { devices = Hashtbl.create 8; riotlb = Riotlb.create ~clock ~cost; clock; cost;
+  { devices = Int_table.create 8; riotlb = Riotlb.create ~clock ~cost; clock; cost;
     faults = 0; walks = 0; prefetch_hits = 0 }
 
-let attach t dev = Hashtbl.replace t.devices (Rdevice.rid dev) dev
-let detach t ~rid = Hashtbl.remove t.devices rid
+let attach t dev = Int_table.replace t.devices (Rdevice.rid dev) dev
+let detach t ~rid = Int_table.remove t.devices rid
 let riotlb t = t.riotlb
 
 (* rprefetch (Figure 10, bottom/right): asynchronously copy the ring's
@@ -98,7 +99,7 @@ let fault t f =
 
 (* rtranslate (Figure 10, top/left). *)
 let rtranslate t ~bdf ~iova ~write =
-  match Hashtbl.find_opt t.devices bdf with
+  match Int_table.find_opt t.devices bdf with
   | None -> fault t Unknown_device
   | Some dev -> (
       let entry =

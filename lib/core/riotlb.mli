@@ -19,7 +19,9 @@ val create : clock:Rio_sim.Cycles.t -> cost:Rio_sim.Cost_model.t -> t
 
 val find : t -> bdf:int -> rid:int -> entry option
 (** Hardware lookup for the (device, ring) pair; charges the lookup cost
-    and counts hit/miss. *)
+    and counts hit/miss. Ring ids must lie in [\[0, 2{^20})] (rIOVAs
+    carry 16 bits); [find], [insert] and [invalidate] raise
+    [Invalid_argument] otherwise. *)
 
 val insert : t -> bdf:int -> rid:int -> entry -> unit
 (** Install the ring's (single) entry, replacing any previous one. *)

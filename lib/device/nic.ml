@@ -175,14 +175,19 @@ let device_tx_process t ~max =
   done;
   !processed
 
+(* Only a packet's last buffer carries [end_of_burst]. *)
+let rec unmap_bufs t ~end_of_burst = function
+  | [] -> ()
+  | [ mb ] -> unmap_and_free t mb ~end_of_burst
+  | mb :: rest ->
+      unmap_and_free t mb ~end_of_burst:false;
+      unmap_bufs t ~end_of_burst rest
+
 let tx_reclaim_next t ~end_of_burst =
   match Queue.take_opt t.tx_done with
   | None -> false
   | Some pkt ->
-      let nbufs = List.length pkt.bufs in
-      List.iteri
-        (fun j mb -> unmap_and_free t mb ~end_of_burst:(end_of_burst && j = nbufs - 1))
-        pkt.bufs;
+      unmap_bufs t ~end_of_burst pkt.bufs;
       true
 
 let tx_reclaim t =

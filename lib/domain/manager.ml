@@ -9,6 +9,7 @@ module Context = Rio_iommu.Context
 module Hw = Rio_iommu.Hw
 module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
+module Int_table = Rio_sim.Int_table
 
 type invalidation = Per_domain | Global
 
@@ -73,7 +74,7 @@ type t = {
   cost : Cost_model.t;
   rcache : bool;
   mutable doms : domain list;  (* reversed creation order *)
-  by_rid : (int, domain) Hashtbl.t;
+  by_rid : domain Int_table.t;
   mutable next_id : int;
   mutable unknown_rid_faults : int;
 }
@@ -93,14 +94,14 @@ let create ~iotlb_policy ~iotlb_capacity ~invalidation ~policy ~frames ~clock
     cost;
     rcache;
     doms = [];
-    by_rid = Hashtbl.create 16;
+    by_rid = Int_table.create 16;
     next_id = 1;
     unknown_rid_faults = 0;
   }
 
 let add_domain t ~name ~bdf ?(iova_limit_pfn = 0xFFFFF) () =
   let rid = Bdf.to_rid bdf in
-  if Hashtbl.mem t.by_rid rid then
+  if Int_table.mem t.by_rid rid then
     invalid_arg "Manager.add_domain: bdf already attached";
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -126,12 +127,12 @@ let add_domain t ~name ~bdf ?(iova_limit_pfn = 0xFFFFF) () =
     { id; name; bdf; rid; cdom; front; queue = Queue.create (); faults = 0 }
   in
   t.doms <- d :: t.doms;
-  Hashtbl.add t.by_rid rid d;
+  Int_table.replace t.by_rid rid d;
   d
 
 let remove_domain t d =
   Context.detach t.context d.bdf;
-  Hashtbl.remove t.by_rid d.rid;
+  Int_table.remove t.by_rid d.rid;
   t.doms <- List.filter (fun x -> x.id <> d.id) t.doms;
   (* flush before unregistering: the shared-policy flush attributes
      entries to this domain through the bdf ownership table *)
@@ -202,7 +203,7 @@ let unmap_one t d ~iova =
   match front_find d ~pfn with
   | None -> Error `Not_mapped
   | Some node ->
-      let lo = Rio_iova.Rbtree.lo node and hi = Rio_iova.Rbtree.hi node in
+      let lo = node.Rio_iova.Rbtree.lo and hi = node.Rio_iova.Rbtree.hi in
       for p = lo to hi do
         (* map installed every page of the range *)
         ignore
@@ -243,7 +244,7 @@ let rollback d ~iovas n =
   for j = n - 1 downto 0 do
     let pfn = iovas.(j) lsr Addr.page_shift in
     let node = front_find_exn d ~pfn in
-    let lo = Rio_iova.Rbtree.lo node and hi = Rio_iova.Rbtree.hi node in
+    let lo = node.Rio_iova.Rbtree.lo and hi = node.Rio_iova.Rbtree.hi in
     for p = lo to hi do
       ignore
         (Arena.unmap_exn d.cdom.Context.Domain.table
@@ -336,7 +337,7 @@ let unmap_sg_exn t d ~iovas ?n () =
     while !i < n do
       let pfn = iovas.(!i) lsr Addr.page_shift in
       let node = front_find_exn d ~pfn in
-      let lo = Rio_iova.Rbtree.lo node and hi = Rio_iova.Rbtree.hi node in
+      let lo = node.Rio_iova.Rbtree.lo and hi = node.Rio_iova.Rbtree.hi in
       for p = lo to hi do
         ignore
           (Arena.unmap_exn d.cdom.Context.Domain.table
@@ -362,7 +363,7 @@ let translate t ~rid ~iova ~write =
       t.unknown_rid_faults <- t.unknown_rid_faults + 1;
       Error Hw.Unknown_device
   | Some cdom -> (
-      let d = Hashtbl.find t.by_rid rid in
+      let d = Int_table.find t.by_rid rid in
       let vpn = iova lsr Addr.page_shift in
       let offset = iova land (Addr.page_size - 1) in
       let check pte =
@@ -392,14 +393,14 @@ let translate t ~rid ~iova ~write =
 exception Translation_fault
 
 (* Allocation-free twin of [translate] for the service's steady state:
-   no option/result boxes on the hit path (Hashtbl.find + the
+   no option/result boxes on the hit path (Int_table.find + the
    shared-IOTLB find_exn + an immediate phys result), one constant
    exception for every fault class. Fault accounting is identical to
    [translate] — the per-domain and unknown-rid counters are bumped
    before the exception escapes. *)
 let translate_exn t ~rid ~iova ~write =
   let d =
-    try Hashtbl.find t.by_rid rid
+    try Int_table.find t.by_rid rid
     with Not_found ->
       t.unknown_rid_faults <- t.unknown_rid_faults + 1;
       raise Translation_fault

@@ -1,6 +1,7 @@
 module Iotlb = Rio_iotlb.Iotlb
 module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
+module Int_table = Rio_sim.Int_table
 
 type policy =
   | Shared
@@ -65,8 +66,8 @@ type t = {
   cost : Cost_model.t;
   (* registration order matters for partition sizing and reporting *)
   mutable doms : dom list;  (* reversed registration order *)
-  by_id : (int, dom) Hashtbl.t;
-  owner_of_bdf : (int, dom) Hashtbl.t;
+  by_id : dom Int_table.t;
+  owner_of_bdf : dom Int_table.t;
   mutable frozen : bool;
   (* Shared policy: the one LRU everyone contends on. The inserter is
      recorded around each fill so the eviction hook can attribute the
@@ -83,8 +84,8 @@ let create ~policy ~capacity ~clock ~cost =
     clock;
     cost;
     doms = [];
-    by_id = Hashtbl.create 16;
-    owner_of_bdf = Hashtbl.create 16;
+    by_id = Int_table.create 16;
+    owner_of_bdf = Int_table.create 16;
     frozen = false;
     shared = None;
     inserting = None;
@@ -109,16 +110,16 @@ let register t ~domain ~bdf =
          invalid_arg
            "Shared_iotlb.register: traffic already started (partitioned \
             slice geometry is fixed at first traffic)");
-  (match Hashtbl.find_opt t.owner_of_bdf bdf with
+  (match Int_table.find_opt t.owner_of_bdf bdf with
   | Some d when d.id <> domain ->
       invalid_arg "Shared_iotlb.register: bdf owned by another domain"
   | _ -> ());
   let d =
-    match Hashtbl.find_opt t.by_id domain with
+    match Int_table.find_opt t.by_id domain with
     | Some d -> d
     | None ->
         let d = { id = domain; counters = fresh_counters (); partition = None } in
-        Hashtbl.add t.by_id domain d;
+        Int_table.replace t.by_id domain d;
         t.doms <- d :: t.doms;
         d
   in
@@ -127,21 +128,21 @@ let register t ~domain ~bdf =
   | true, Quota { entries } when d.partition = None ->
       d.partition <- Some (make_partition t d ~capacity:entries)
   | _ -> ());
-  Hashtbl.replace t.owner_of_bdf bdf d
+  Int_table.replace t.owner_of_bdf bdf d
 
 let unregister t ~domain ~bdf =
-  match Hashtbl.find_opt t.owner_of_bdf bdf with
-  | Some d when d.id = domain -> Hashtbl.remove t.owner_of_bdf bdf
+  match Int_table.find_opt t.owner_of_bdf bdf with
+  | Some d when d.id = domain -> Int_table.remove t.owner_of_bdf bdf
   | _ -> ()
 
 (* find, not find_opt: [dom_exn] sits under the batched-invalidation
    flush on the zero-alloc unmap_sg path, so no Some box. *)
 let dom_exn t domain =
-  match Hashtbl.find t.by_id domain with
+  match Int_table.find t.by_id domain with
   | d -> d
   | exception Not_found -> invalid_arg "Shared_iotlb: unregistered domain"
 
-let owner t bdf = Hashtbl.find_opt t.owner_of_bdf bdf
+let owner t bdf = Int_table.find_opt t.owner_of_bdf bdf
 
 (* Freeze on first traffic: build the shared instance or size the
    per-domain partitions from the final registration count. *)
@@ -196,13 +197,13 @@ let lookup t ~domain ~bdf ~vpn =
   | None -> d.counters.c_misses <- d.counters.c_misses + 1);
   result
 
-(* Allocation-free twin of [lookup]: Hashtbl.find instead of find_opt
+(* Allocation-free twin of [lookup]: Int_table.find instead of find_opt
    (no option box), Iotlb.find_exn instead of lookup (no Some box on a
    hit). Misses are counted before the Not_found escapes, so the
    attribution counters agree with [lookup] exactly. *)
 let find_exn t ~domain ~bdf ~vpn =
   freeze t;
-  let d = Hashtbl.find t.by_id domain in
+  let d = Int_table.find t.by_id domain in
   let tlb =
     match t.policy with
     | Shared -> (

@@ -4,11 +4,13 @@ module Domain = struct
   let make ~id ~table = { id; table }
 end
 
-type t = { entries : (int, Domain.t) Hashtbl.t }
+module Int_table = Rio_sim.Int_table
 
-let create () = { entries = Hashtbl.create 16 }
-let attach t bdf domain = Hashtbl.replace t.entries (Bdf.to_rid bdf) domain
-let detach t bdf = Hashtbl.remove t.entries (Bdf.to_rid bdf)
-let lookup t ~rid = Hashtbl.find_opt t.entries rid
-let lookup_exn t ~rid = Hashtbl.find t.entries rid
-let attached t = Hashtbl.length t.entries
+type t = { entries : Domain.t Int_table.t }
+
+let create () = { entries = Int_table.create 16 }
+let attach t bdf domain = Int_table.replace t.entries (Bdf.to_rid bdf) domain
+let detach t bdf = Int_table.remove t.entries (Bdf.to_rid bdf)
+let lookup t ~rid = Int_table.find_opt t.entries rid
+let lookup_exn t ~rid = Int_table.find t.entries rid
+let attached t = Int_table.length t.entries

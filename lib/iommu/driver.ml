@@ -40,8 +40,8 @@ let create ?rcache ~domain ~allocator ~iotlb ~rid ~policy ~clock ~cost () =
     clock;
     cost;
     queue = Queue.create ();
-    bm = Breakdown.create ~clock;
-    bu = Breakdown.create ~clock;
+    bm = Breakdown.create ();
+    bu = Breakdown.create ();
   }
 
 let iova_alloc_pfn t ~size =
@@ -65,8 +65,8 @@ let pages_spanned ~phys ~bytes =
   last - first + 1
 
 (* The zero-alloc primary: breakdown attribution brackets each phase
-   with Cycles.now/Breakdown.charge instead of closure-based
-   Breakdown.phase, so the steady-state path allocates nothing. *)
+   with Cycles.now/Breakdown.charge, so the steady-state path allocates
+   nothing. *)
 let map_exn t ~phys ~bytes ~read ~write =
   if bytes <= 0 then invalid_arg "Driver.map: bytes";
   Breakdown.record_call t.bm;
@@ -97,10 +97,15 @@ let map t ~phys ~bytes ~read ~write =
 (* Release one IOVA range back to the allocator. Attributed to the unmap
    breakdown whether it runs inline (strict) or from a batched flush
    (deferred) - the cost is amortized over unmap calls either way. *)
-let release t node = Breakdown.phase t.bu Iova_free (fun () -> iova_free t node)
+let release t node =
+  let s = Cycles.now t.clock in
+  iova_free t node;
+  Breakdown.charge t.bu Iova_free (Cycles.since t.clock s)
 
 let do_flush t =
-  Breakdown.phase t.bu Iotlb_inv (fun () -> Iotlb.flush_all t.iotlb);
+  let s = Cycles.now t.clock in
+  Iotlb.flush_all t.iotlb;
+  Breakdown.charge t.bu Iotlb_inv (Cycles.since t.clock s);
   Queue.iter (fun { node } -> release t node) t.queue;
   Queue.clear t.queue
 
@@ -124,7 +129,7 @@ let unmap_exn t ~iova =
       raise Not_mapped
   | node ->
       Breakdown.charge t.bu Iova_find (Cycles.since t.clock s);
-      let lo = Rio_iova.Rbtree.lo node and hi = Rio_iova.Rbtree.hi node in
+      let lo = node.Rio_iova.Rbtree.lo and hi = node.Rio_iova.Rbtree.hi in
       let s = Cycles.now t.clock in
       for p = lo to hi do
         (* map installed every page of the range, so Not_mapped cannot

@@ -1,10 +1,11 @@
 module Cycles = Rio_sim.Cycles
 module Cost_model = Rio_sim.Cost_model
+module Int_table = Rio_sim.Int_table
 
 type t = {
   tree : Rbtree.t;
   limit_pfn : int;
-  magazines : (int, Rbtree.node list ref) Hashtbl.t;
+  magazines : Rbtree.node list ref Int_table.t;
   mutable floor : int;  (* lowest pfn of any carved range; fresh carves go below *)
   mutable live : int;
   mutable parked : int;
@@ -17,7 +18,7 @@ let create ~limit_pfn ~clock ~cost =
   {
     tree = Rbtree.create ();
     limit_pfn;
-    magazines = Hashtbl.create 8;
+    magazines = Int_table.create 8;
     floor = limit_pfn + 1;
     live = 0;
     parked = 0;
@@ -26,11 +27,11 @@ let create ~limit_pfn ~clock ~cost =
   }
 
 let magazine t size =
-  match Hashtbl.find_opt t.magazines size with
+  match Int_table.find_opt t.magazines size with
   | Some m -> m
   | None ->
       let m = ref [] in
-      Hashtbl.add t.magazines size m;
+      Int_table.replace t.magazines size m;
       m
 
 let charge t refs =
@@ -47,7 +48,7 @@ let alloc t ~size =
       t.parked <- t.parked - 1;
       t.live <- t.live + 1;
       charge t 2;
-      Ok (Rbtree.lo node)
+      Ok node.Rbtree.lo
   | [] ->
       (* Cold start: carve a fresh range below everything carved so far.
          Tree insertion cost (logarithmic) is charged via visit counting. *)
@@ -80,7 +81,7 @@ let find t ~pfn =
   Cycles.charge t.clock
     ((Rbtree.visits t.tree - v0) * t.cost.Cost_model.tree_ref);
   match node with
-  | Some n when Rbtree.cached_free n -> None
+  | Some n when n.Rbtree.cached_free -> None
   | other -> other
 
 (* Allocation-free [find]: same traversal and charges; parked ranges
@@ -92,17 +93,17 @@ let find_exn t ~pfn =
   | node ->
       Cycles.charge t.clock
         ((Rbtree.visits t.tree - v0) * t.cost.Cost_model.tree_ref);
-      if Rbtree.cached_free node then raise Not_found else node
+      if node.Rbtree.cached_free then raise Not_found else node
   | exception Not_found ->
       Cycles.charge t.clock
         ((Rbtree.visits t.tree - v0) * t.cost.Cost_model.tree_ref);
       raise Not_found
 
 let free t node =
-  if Rbtree.cached_free node then
+  if node.Rbtree.cached_free then
     invalid_arg "Fast_allocator.free: range already parked";
   Rbtree.set_cached_free node true;
-  let size = Rbtree.hi node - Rbtree.lo node + 1 in
+  let size = node.Rbtree.hi - node.Rbtree.lo + 1 in
   let m = magazine t size in
   m := node :: !m;
   t.live <- t.live - 1;

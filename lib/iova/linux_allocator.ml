@@ -25,7 +25,7 @@ module Cost_model = Rio_sim.Cost_model
 type t = {
   tree : Rbtree.t;
   limit_pfn : int;
-  mutable cached : Rbtree.node option;
+  mutable cached : Rbtree.node;  (* the tree's nil sentinel when unset *)
   clock : Cycles.t;
   cost : Cost_model.t;
   mutable last_scan : int;
@@ -33,61 +33,63 @@ type t = {
 
 let create ~limit_pfn ~clock ~cost =
   if limit_pfn <= 0 then invalid_arg "Linux_allocator.create: limit_pfn";
-  { tree = Rbtree.create (); limit_pfn; cached = None; clock; cost; last_scan = 0 }
+  let tree = Rbtree.create () in
+  (* an empty tree's [max_node] is its sentinel: no cached node yet *)
+  { tree; limit_pfn; cached = Rbtree.max_node tree; clock; cost; last_scan = 0 }
 
 let charge_visits t v0 =
   let dv = Rbtree.visits t.tree - v0 in
   Cycles.charge t.clock (dv * t.cost.Cost_model.tree_ref)
 
-(* __get_cached_rbnode *)
-let scan_start t =
-  match t.cached with
-  | Some n -> (Rbtree.prev t.tree n, Rbtree.lo n - 1)
-  | None -> (Rbtree.max_node t.tree, t.limit_pfn)
+let place t ~size ~v0 ~hi =
+  let lo = hi - size + 1 in
+  if lo < 0 then -1
+  else begin
+    let node = Rbtree.insert t.tree ~lo ~hi in
+    (* __cached_rbnode_insert_update *)
+    t.cached <- node;
+    charge_visits t v0;
+    lo
+  end
 
-let alloc t ~size =
+(* __alloc_and_insert_iova_range's downward scan from [n] (the sentinel
+   once it runs off the lowest range). *)
+let rec scan t ~size ~v0 n limit =
+  if n.Rbtree.is_nil then place t ~size ~v0 ~hi:limit
+  else begin
+    t.last_scan <- t.last_scan + 1;
+    if limit < n.Rbtree.lo then
+      (* node entirely above the current limit: move left *)
+      scan t ~size ~v0 (Rbtree.prev t.tree n) limit
+    else if limit <= n.Rbtree.hi then
+      (* limit falls inside the node: continue below it *)
+      scan t ~size ~v0 (Rbtree.prev t.tree n) (n.Rbtree.lo - 1)
+    else if n.Rbtree.hi + size <= limit then
+      (* gap between this node and the limit fits the request *)
+      place t ~size ~v0 ~hi:limit
+    else scan t ~size ~v0 (Rbtree.prev t.tree n) (n.Rbtree.lo - 1)
+  end
+
+(* The scan boxes nothing (the sentinel stands in for NULL); only the
+   inserted rbtree node allocates, which is why the zero-alloc map path
+   reaches this allocator only on magazine misses. *)
+let alloc_pfn t ~size =
   if size <= 0 then invalid_arg "Linux_allocator.alloc: size";
   let v0 = Rbtree.visits t.tree in
   Cycles.charge t.clock t.cost.Cost_model.call_overhead;
   t.last_scan <- 0;
-  let place ~hi =
-    let lo = hi - size + 1 in
-    if lo < 0 then Error `Exhausted
-    else begin
-      let node = Rbtree.insert t.tree ~lo ~hi in
-      (* __cached_rbnode_insert_update *)
-      t.cached <- Some node;
-      charge_visits t v0;
-      Ok lo
-    end
+  (* __get_cached_rbnode *)
+  let c = t.cached in
+  let pfn =
+    if c.Rbtree.is_nil then scan t ~size ~v0 (Rbtree.max_node t.tree) t.limit_pfn
+    else scan t ~size ~v0 (Rbtree.prev t.tree c) (c.Rbtree.lo - 1)
   in
-  (* __alloc_and_insert_iova_range's downward scan. *)
-  let rec scan curr limit =
-    match curr with
-    | None -> place ~hi:limit
-    | Some n ->
-        t.last_scan <- t.last_scan + 1;
-        if limit < Rbtree.lo n then
-          (* node entirely above the current limit: move left *)
-          scan (Rbtree.prev t.tree n) limit
-        else if limit <= Rbtree.hi n then
-          (* limit falls inside the node: continue below it *)
-          scan (Rbtree.prev t.tree n) (Rbtree.lo n - 1)
-        else if Rbtree.hi n + size <= limit then
-          (* gap between this node and the limit fits the request *)
-          place ~hi:limit
-        else scan (Rbtree.prev t.tree n) (Rbtree.lo n - 1)
-  in
-  let curr, limit = scan_start t in
-  let result = scan curr limit in
-  (match result with Error `Exhausted -> charge_visits t v0 | Ok _ -> ());
-  result
+  if pfn < 0 then charge_visits t v0;
+  pfn
 
-(* The downward scan itself allocates (options and closures): acceptable
-   here because the zero-alloc map path reaches this allocator only on
-   magazine misses. The unboxed result spares the caller the [Ok]. *)
-let alloc_pfn t ~size =
-  match alloc t ~size with Ok pfn -> pfn | Error `Exhausted -> -1
+let alloc t ~size =
+  let pfn = alloc_pfn t ~size in
+  if pfn < 0 then Error `Exhausted else Ok pfn
 
 let find t ~pfn =
   let v0 = Rbtree.visits t.tree in
@@ -113,10 +115,9 @@ let find_exn t ~pfn =
 let free t node =
   let v0 = Rbtree.visits t.tree in
   Cycles.charge t.clock t.cost.Cost_model.call_overhead;
-  (match t.cached with
-  | Some c when Rbtree.lo node >= Rbtree.lo c ->
-      t.cached <- Rbtree.next t.tree node
-  | Some _ | None -> ());
+  let c = t.cached in
+  if (not c.Rbtree.is_nil) && node.Rbtree.lo >= c.Rbtree.lo then
+    t.cached <- Rbtree.next t.tree node;
   Rbtree.delete t.tree node;
   charge_visits t v0
 

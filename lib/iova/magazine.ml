@@ -123,7 +123,7 @@ module Make (Base : Allocator.S) = struct
     t.hits <- t.hits + 1;
     t.live <- t.live + 1;
     charge_hit t;
-    Rbtree.lo node
+    node.Rbtree.lo
 
   (* Primary allocation entry point, unboxed: first pfn or -1 on
      exhaustion. Steady-state magazine hits allocate nothing. *)
@@ -176,12 +176,12 @@ module Make (Base : Allocator.S) = struct
      must hide them from the unmap path. *)
   let find t ~pfn =
     match Base.find t.base ~pfn with
-    | Some n when Rbtree.cached_free n -> None
+    | Some n when n.Rbtree.cached_free -> None
     | other -> other
 
   let find_exn t ~pfn =
     let node = Base.find_exn t.base ~pfn in
-    if Rbtree.cached_free node then raise Not_found else node
+    if node.Rbtree.cached_free then raise Not_found else node
 
   let flush_mag t m =
     if m.count > 0 then t.flushes <- t.flushes + 1;
@@ -194,7 +194,7 @@ module Make (Base : Allocator.S) = struct
     m.count <- 0
 
   let free t node =
-    let size = Rbtree.hi node - Rbtree.lo node + 1 in
+    let size = node.Rbtree.hi - node.Rbtree.lo + 1 in
     t.live <- t.live - 1;
     if size > t.max_cached_size then begin
       t.bypasses <- t.bypasses + 1;

@@ -9,7 +9,7 @@ type node = {
   mutable right : node;
   mutable parent : node;
   mutable red : bool;
-  mutable cached : bool;
+  mutable cached_free : bool;
   mutable is_nil : bool;
 }
 
@@ -24,7 +24,7 @@ let make_nil () =
       right = nil;
       parent = nil;
       red = false;
-      cached = false;
+      cached_free = false;
       is_nil = true;
     }
   in
@@ -35,10 +35,7 @@ let create () =
   { nil; root = nil; count = 0; visits = 0 }
 
 let size t = t.count
-let lo n = n.lo
-let hi n = n.hi
-let cached_free n = n.cached
-let set_cached_free n v = n.cached <- v
+let set_cached_free n v = n.cached_free <- v
 let visit t = t.visits <- t.visits + 1
 let visits t = t.visits
 
@@ -118,7 +115,7 @@ let insert t ~lo ~hi =
       right = t.nil;
       parent = t.nil;
       red = true;
-      cached = false;
+      cached_free = false;
       is_nil = false;
     }
   in
@@ -154,11 +151,14 @@ let rec maximum t x =
     maximum t x.right
   end
 
-let min_node t = if t.root.is_nil then None else Some (minimum t t.root)
-let max_node t = if t.root.is_nil then None else Some (maximum t t.root)
+(* Neighbour queries answer "none" with the tree's nil sentinel rather
+   than an option: the Linux allocator's downward scan steps [prev] once
+   per live range, and the sentinel spares it a box per step. *)
+let min_node t = if t.root.is_nil then t.nil else minimum t t.root
+let max_node t = if t.root.is_nil then t.nil else maximum t t.root
 
 let next t x =
-  if not x.right.is_nil then Some (minimum t x.right)
+  if not x.right.is_nil then minimum t x.right
   else begin
     let x = ref x and y = ref x.parent in
     while (not !y.is_nil) && !x == !y.right do
@@ -166,11 +166,11 @@ let next t x =
       x := !y;
       y := !y.parent
     done;
-    if !y.is_nil then None else Some !y
+    !y
   end
 
 let prev t x =
-  if not x.left.is_nil then Some (maximum t x.left)
+  if not x.left.is_nil then maximum t x.left
   else begin
     let x = ref x and y = ref x.parent in
     while (not !y.is_nil) && !x == !y.left do
@@ -178,7 +178,7 @@ let prev t x =
       x := !y;
       y := !y.parent
     done;
-    if !y.is_nil then None else Some !y
+    !y
   end
 
 let find_containing t pfn =

@@ -11,19 +11,30 @@
     real algorithm rather than from hard-coded constants. *)
 
 type t
-type node
+
+(** A node, readable but not writable outside this module. Callers read
+    [lo], [hi], [cached_free] and [is_nil] as fields: accessor functions
+    would cost a call per read in the allocators' scans, since modules
+    are compiled [-opaque] and nothing is inlined across them. The tree
+    links and colour are this module's business. *)
+type node = private {
+  mutable lo : int;  (** first pfn of the interval *)
+  mutable hi : int;  (** last pfn, inclusive *)
+  mutable left : node;
+  mutable right : node;
+  mutable parent : node;
+  mutable red : bool;
+  mutable cached_free : bool;
+      (** scratch flag used by the constant-time allocator to mark nodes
+          whose range is in its free-magazine rather than live *)
+  mutable is_nil : bool;
+      (** [true] for the tree's sentinel, which the neighbour queries
+          below return for "no such node" (the kernel's [NULL]) instead
+          of an option box; its [lo]/[hi] are meaningless *)
+}
 
 val create : unit -> t
 val size : t -> int
-
-(** {1 Node accessors} *)
-
-val lo : node -> int
-val hi : node -> int
-val cached_free : node -> bool
-(** Scratch flag used by the constant-time allocator to mark nodes whose
-    range is currently in its free-magazine rather than live. *)
-
 val set_cached_free : node -> bool -> unit
 
 (** {1 Queries} *)
@@ -35,15 +46,17 @@ val find_containing_exn : t -> int -> node
 (** Allocation-free twin of {!find_containing}: same traversal and visit
     counting, no option box. @raise Not_found when absent. *)
 
-val max_node : t -> node option
-(** Highest interval ([rb_last]). *)
+val max_node : t -> node
+(** Highest interval ([rb_last]), or the sentinel on an empty tree. *)
 
-val min_node : t -> node option
-val prev : t -> node -> node option
-(** In-order predecessor ([rb_prev]). *)
+val min_node : t -> node
+(** Lowest interval, or the sentinel on an empty tree. *)
 
-val next : t -> node -> node option
-(** In-order successor ([rb_next]). *)
+val prev : t -> node -> node
+(** In-order predecessor ([rb_prev]), or the sentinel. *)
+
+val next : t -> node -> node
+(** In-order successor ([rb_next]), or the sentinel. *)
 
 (** {1 Mutation} *)
 

@@ -1,3 +1,5 @@
+module Int_table = Rio_sim.Int_table
+
 let name = "distance"
 
 let degree = 1
@@ -6,7 +8,7 @@ type entry = { mutable nexts : int list (* follow-on distances, <= degree *) }
 
 type t = {
   history : int;
-  table : (int, entry) Hashtbl.t;
+  table : entry Int_table.t;
   order : int Queue.t;
   mutable last_page : int option;
   mutable last_distance : int option;
@@ -16,28 +18,28 @@ let create ~history =
   if history <= 0 then invalid_arg "Distance.create: history";
   {
     history;
-    table = Hashtbl.create history;
+    table = Int_table.create history;
     order = Queue.create ();
     last_page = None;
     last_distance = None;
   }
 
 let entry t dist =
-  match Hashtbl.find_opt t.table dist with
+  match Int_table.find_opt t.table dist with
   | Some e -> e
   | None ->
-      if Hashtbl.length t.table >= t.history then begin
+      if Int_table.length t.table >= t.history then begin
         let rec evict () =
           match Queue.take_opt t.order with
           | None -> ()
           | Some victim ->
-              if Hashtbl.mem t.table victim then Hashtbl.remove t.table victim
+              if Int_table.mem t.table victim then Int_table.remove t.table victim
               else evict ()
         in
         evict ()
       end;
       let e = { nexts = [] } in
-      Hashtbl.add t.table dist e;
+      Int_table.replace t.table dist e;
       Queue.add dist t.order;
       e
 
@@ -71,6 +73,6 @@ let predict t page =
   match t.last_distance with
   | None -> []
   | Some dist -> (
-      match Hashtbl.find_opt t.table dist with
+      match Int_table.find_opt t.table dist with
       | None -> []
       | Some e -> List.map (fun d -> page + d) e.nexts)

@@ -1,3 +1,5 @@
+module Int_table = Rio_sim.Int_table
+
 type result = {
   name : string;
   history : int;
@@ -8,25 +10,25 @@ type result = {
 
 let run_with (type s) (module P : Prefetcher.S with type t = s) (p : s) ~name
     ~history ~retain_invalidated trace =
-  let mapped = Hashtbl.create 1024 in
-  let predicted = Hashtbl.create 8 in
+  let mapped = Int_table.create 1024 in
+  let predicted = Int_table.create 8 in
   let accesses = ref 0 and hits = ref 0 in
   Array.iter
     (fun ev ->
       match ev with
-      | Trace.Map page -> Hashtbl.replace mapped page ()
+      | Trace.Map page -> Int_table.replace mapped page ()
       | Trace.Unmap page ->
-          Hashtbl.remove mapped page;
+          Int_table.remove mapped page;
           if not retain_invalidated then P.invalidate p page
       | Trace.Access page ->
           incr accesses;
-          if Hashtbl.mem predicted page then incr hits;
+          if Int_table.mem predicted page then incr hits;
           (* predictions for the next access: only mapped pages may be
              issued (the modified variants' page-table check) *)
-          Hashtbl.reset predicted;
+          Int_table.reset predicted;
           let preds = P.predict p page in
           List.iter
-            (fun q -> if Hashtbl.mem mapped q then Hashtbl.replace predicted q ())
+            (fun q -> if Int_table.mem mapped q then Int_table.replace predicted q ())
             preds;
           P.observe p page)
     trace;

@@ -1,3 +1,5 @@
+module Int_table = Rio_sim.Int_table
+
 let name = "recency"
 
 type node = {
@@ -8,14 +10,14 @@ type node = {
 
 type t = {
   history : int;
-  table : (int, node) Hashtbl.t;
+  table : node Int_table.t;
   mutable mru : node option;
   mutable lru : node option;
 }
 
 let create ~history =
   if history <= 0 then invalid_arg "Recency.create: history";
-  { history; table = Hashtbl.create history; mru = None; lru = None }
+  { history; table = Int_table.create history; mru = None; lru = None }
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.mru <- n.next);
@@ -32,7 +34,7 @@ let push_front t n =
 (* Neighbours in recency order at the time of the access - two on each
    side, sampled BEFORE the page moves to the stack top. *)
 let predict t page =
-  match Hashtbl.find_opt t.table page with
+  match Int_table.find_opt t.table page with
   | None -> []
   | Some n ->
       let prev1 = n.prev in
@@ -42,26 +44,26 @@ let predict t page =
       List.filter_map (Option.map (fun (x : node) -> x.page)) [ prev1; prev2; next1; next2 ]
 
 let observe t page =
-  (match Hashtbl.find_opt t.table page with
+  (match Int_table.find_opt t.table page with
   | Some n ->
       unlink t n;
       push_front t n
   | None ->
-      if Hashtbl.length t.table >= t.history then begin
+      if Int_table.length t.table >= t.history then begin
         match t.lru with
         | Some victim ->
             unlink t victim;
-            Hashtbl.remove t.table victim.page
+            Int_table.remove t.table victim.page
         | None -> ()
       end;
       let n = { page; prev = None; next = None } in
-      Hashtbl.add t.table page n;
+      Int_table.replace t.table page n;
       push_front t n);
   ()
 
 let invalidate t page =
-  match Hashtbl.find_opt t.table page with
+  match Int_table.find_opt t.table page with
   | Some n ->
       unlink t n;
-      Hashtbl.remove t.table page
+      Int_table.remove t.table page
   | None -> ()

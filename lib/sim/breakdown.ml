@@ -18,15 +18,9 @@ let index = function
   | Iotlb_inv -> 4
   | Other -> 5
 
-type t = { clock : Cycles.t; totals : int array; mutable calls : int }
+type t = { totals : int array; mutable calls : int }
 
-let create ~clock = { clock; totals = Array.make 6 0; calls = 0 }
-
-let phase t comp f =
-  let start = Cycles.now t.clock in
-  let result = f () in
-  t.totals.(index comp) <- t.totals.(index comp) + Cycles.since t.clock start;
-  result
+let create () = { totals = Array.make 6 0; calls = 0 }
 
 let charge t comp n = t.totals.(index comp) <- t.totals.(index comp) + n
 let record_call t = t.calls <- t.calls + 1

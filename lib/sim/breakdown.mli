@@ -2,8 +2,10 @@
 
     Table 1 of the paper decomposes the map and unmap driver calls into
     components (IOVA allocation, page-table update, IOTLB invalidation,
-    IOVA find/free, other). Drivers wrap each phase in {!phase} so the
-    experiment harness can print the same rows. *)
+    IOVA find/free, other). Drivers bracket each phase with
+    [Cycles.now]/{!charge}, attributing everything the phase charged
+    (nested costs included), so the experiment harness can print the
+    same rows. *)
 
 type component =
   | Iova_alloc
@@ -18,14 +20,10 @@ val all_components : component list
 
 type t
 
-val create : clock:Cycles.t -> t
-
-val phase : t -> component -> (unit -> 'a) -> 'a
-(** Run the thunk and attribute the cycles it charges to the component. *)
+val create : unit -> t
 
 val charge : t -> component -> int -> unit
-(** Attribute [n] already-charged cycles to a component without running a
-    thunk (for costs accounted elsewhere). *)
+(** Attribute [n] already-charged cycles to a component. *)
 
 val record_call : t -> unit
 (** Count one driver invocation (map or unmap) for averaging. *)

@@ -33,3 +33,9 @@ val bernoulli : t -> float -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
+
+val shuffle_prefix : t -> 'a array -> int -> unit
+(** [shuffle_prefix t a len] shuffles [a.(0) .. a.(len - 1)] in place,
+    drawing exactly what {!shuffle} draws for an array of length [len],
+    so a reused scratch array yields the same permutation as a fresh one.
+    Raises [Invalid_argument] unless [0 <= len <= Array.length a]. *)

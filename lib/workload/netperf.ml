@@ -44,26 +44,33 @@ let components breakdown =
    shuffled arrival order (each ring's last completion flags the end of
    its unmap burst), refill the Rx ring, submit and transmit the next
    burst. *)
-let interrupt_round nic rng ~burst ~acks ~ack_payload ~payload =
+(* [events] is the stream's scratch for the interleaving of completions
+   (true = Rx), grown on demand; only its first rx + tx slots are used
+   and shuffled, with the same draws as a fresh array of that length. *)
+let interrupt_round nic rng events ~burst ~acks ~ack_payload ~payload =
   for _ = 1 to acks do
     ignore (Nic.device_rx_deliver nic ~payload:ack_payload)
   done;
   let tx_pending = Nic.tx_completed nic in
   let rx_pending = Nic.rx_pending nic in
-  let events = Array.init (rx_pending + tx_pending) (fun i -> i < rx_pending) in
-  Rng.shuffle rng events;
+  let n = rx_pending + tx_pending in
+  if Array.length !events < n then events := Array.make (max n (2 * Array.length !events)) false;
+  let ev = !events in
+  for i = 0 to n - 1 do
+    ev.(i) <- i < rx_pending
+  done;
+  Rng.shuffle_prefix rng ev n;
   let rx_left = ref rx_pending and tx_left = ref tx_pending in
-  Array.iter
-    (fun is_rx ->
-      if is_rx then begin
-        decr rx_left;
-        ignore (Nic.rx_reap_next nic ~end_of_burst:(!rx_left = 0))
-      end
-      else begin
-        decr tx_left;
-        ignore (Nic.tx_reclaim_next nic ~end_of_burst:(!tx_left = 0))
-      end)
-    events;
+  for i = 0 to n - 1 do
+    if ev.(i) then begin
+      decr rx_left;
+      ignore (Nic.rx_reap_next nic ~end_of_burst:(!rx_left = 0))
+    end
+    else begin
+      decr tx_left;
+      ignore (Nic.tx_reclaim_next nic ~end_of_burst:(!tx_left = 0))
+    end
+  done;
   ignore (Nic.rx_fill nic);
   let submitted = ref 0 in
   for _ = 1 to burst do
@@ -93,6 +100,7 @@ let stream_uncached ~packets ~warmup ~seed ~ack_ratio ~rcache ~mode ~profile () 
   let ack_payload = Bytes.make 64 'a' in
   let burst = 32 in
   let ack_carry = ref 0.0 in
+  let events = ref [||] in
   let run n =
     let sent = ref 0 in
     while !sent < n do
@@ -100,7 +108,7 @@ let stream_uncached ~packets ~warmup ~seed ~ack_ratio ~rcache ~mode ~profile () 
       let acks = int_of_float !ack_carry in
       ack_carry := !ack_carry -. float_of_int acks;
       let submitted =
-        interrupt_round nic rng ~burst ~acks ~ack_payload ~payload
+        interrupt_round nic rng events ~burst ~acks ~ack_payload ~payload
       in
       sent := !sent + max 1 submitted
     done;

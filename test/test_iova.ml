@@ -24,7 +24,7 @@ let test_rbtree_insert_find () =
   check_tree t "after inserts";
   Alcotest.(check int) "size" 3 (Rbtree.size t);
   (match Rbtree.find_containing t 15 with
-  | Some n -> Alcotest.(check (pair int int)) "found" (10, 19) (Rbtree.lo n, Rbtree.hi n)
+  | Some n -> Alcotest.(check (pair int int)) "found" (10, 19) (n.Rbtree.lo, n.Rbtree.hi)
   | None -> Alcotest.fail "15 should be found");
   Alcotest.(check bool) "gap misses" true (Rbtree.find_containing t 25 = None)
 
@@ -63,23 +63,22 @@ let test_rbtree_neighbours () =
   let a = Rbtree.insert t ~lo:0 ~hi:9 in
   let b = Rbtree.insert t ~lo:20 ~hi:29 in
   let c = Rbtree.insert t ~lo:40 ~hi:49 in
-  Alcotest.(check bool) "prev of b is a" true
-    (match Rbtree.prev t b with Some n -> n == a | None -> false);
-  Alcotest.(check bool) "next of b is c" true
-    (match Rbtree.next t b with Some n -> n == c | None -> false);
-  Alcotest.(check bool) "prev of min is None" true (Rbtree.prev t a = None);
-  Alcotest.(check bool) "next of max is None" true (Rbtree.next t c = None);
-  Alcotest.(check bool) "max node" true
-    (match Rbtree.max_node t with Some n -> n == c | None -> false);
-  Alcotest.(check bool) "min node" true
-    (match Rbtree.min_node t with Some n -> n == a | None -> false)
+  Alcotest.(check bool) "prev of b is a" true (Rbtree.prev t b == a);
+  Alcotest.(check bool) "next of b is c" true (Rbtree.next t b == c);
+  Alcotest.(check bool) "prev of min is nil" true (Rbtree.prev t a).Rbtree.is_nil;
+  Alcotest.(check bool) "next of max is nil" true (Rbtree.next t c).Rbtree.is_nil;
+  Alcotest.(check bool) "max node" true (Rbtree.max_node t == c);
+  Alcotest.(check bool) "min node" true (Rbtree.min_node t == a);
+  let empty = Rbtree.create () in
+  Alcotest.(check bool) "empty tree has nil ends" true
+    ((Rbtree.max_node empty).Rbtree.is_nil && (Rbtree.min_node empty).Rbtree.is_nil)
 
 let test_rbtree_inorder_iteration () =
   let t = Rbtree.create () in
   List.iter (fun lo -> ignore (Rbtree.insert t ~lo ~hi:lo))
     [ 50; 10; 90; 30; 70; 20; 80 ];
   let seen = ref [] in
-  Rbtree.iter t (fun n -> seen := Rbtree.lo n :: !seen);
+  Rbtree.iter t (fun n -> seen := n.Rbtree.lo :: !seen);
   Alcotest.(check (list int)) "sorted order" [ 10; 20; 30; 50; 70; 80; 90 ]
     (List.rev !seen)
 
@@ -140,7 +139,7 @@ let test_linux_find_free () =
   let p = Result.get_ok (Linux_allocator.alloc a ~size:4) in
   (match Linux_allocator.find a ~pfn:(p + 2) with
   | Some n ->
-      Alcotest.(check int) "range lo" p (Rbtree.lo n);
+      Alcotest.(check int) "range lo" p n.Rbtree.lo;
       Linux_allocator.free a n
   | None -> Alcotest.fail "allocated range must be findable");
   Alcotest.(check bool) "gone after free" true (Linux_allocator.find a ~pfn:p = None);

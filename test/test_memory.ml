@@ -212,6 +212,97 @@ let prop_frame_allocator_no_double_alloc =
           end)
         ops)
 
+(* Differential check against the list + Hashtbl allocator kept in
+   test/frame_allocator_list.ml: the same script of allocs, contiguous
+   allocs and frees (of handed-out frames, which may double-free, of
+   arbitrary pfns on either side of [0, total), and of unaligned
+   addresses) must produce the same addresses, [None]s, exceptions and
+   [allocated] counts at every step. *)
+type fa_op =
+  | Alloc
+  | Contig of int
+  | Free_handed of int
+  | Free_pfn of int
+  | Free_unaligned
+
+let fa_op_gen ~total =
+  QCheck.Gen.(
+    frequency
+      [ (6, return Alloc);
+        (2, map (fun n -> Contig n) (int_range (-1) 6));
+        (6, map (fun i -> Free_handed i) nat);
+        (1, map (fun p -> Free_pfn p) (int_range (-3) (total + 3)));
+        (1, return Free_unaligned) ])
+
+let fa_op_print = function
+  | Alloc -> "alloc"
+  | Contig n -> Printf.sprintf "contig %d" n
+  | Free_handed i -> Printf.sprintf "free_handed %d" i
+  | Free_pfn p -> Printf.sprintf "free_pfn %d" p
+  | Free_unaligned -> "free_unaligned"
+
+let prop_frame_allocator_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 40 >>= fun total ->
+      map (fun ops -> (total, ops)) (list_size (int_range 0 200) (fa_op_gen ~total)))
+  in
+  let print (total, ops) =
+    Printf.sprintf "total=%d [%s]" total (String.concat "; " (List.map fa_op_print ops))
+  in
+  QCheck.Test.make ~name:"bitset allocator matches the list+Hashtbl oracle" ~count:500
+    (QCheck.make ~print gen)
+    (fun (total, ops) ->
+      let module O = Frame_allocator_list in
+      let fa = Frame_allocator.create ~total_frames:total in
+      let oa = O.create ~total_frames:total in
+      let handed = ref [||] in
+      let observe f =
+        match f () with
+        | Some a ->
+            handed := Array.append !handed [| a |];
+            Printf.sprintf "some %d" (Addr.to_int a)
+        | None -> "none"
+        | exception Invalid_argument m -> "invalid_arg " ^ m
+      in
+      let unit f =
+        match f () with () -> "ok" | exception Invalid_argument m -> "invalid_arg " ^ m
+      in
+      List.for_all
+        (fun op ->
+          let got, want =
+            match op with
+            | Alloc ->
+                let g = observe (fun () -> Frame_allocator.alloc fa) in
+                (g, observe (fun () -> O.alloc oa))
+            | Contig frames ->
+                let g = observe (fun () -> Frame_allocator.alloc_contiguous fa ~frames) in
+                (g, observe (fun () -> O.alloc_contiguous oa ~frames))
+            | Free_handed i ->
+                let n = Array.length !handed in
+                if n = 0 then ("ok", "ok")
+                else
+                  let a = !handed.(i mod n) in
+                  (unit (fun () -> Frame_allocator.free fa a), unit (fun () -> O.free oa a))
+            | Free_pfn p ->
+                let a = Addr.of_pfn p in
+                (unit (fun () -> Frame_allocator.free fa a), unit (fun () -> O.free oa a))
+            | Free_unaligned ->
+                let a = Addr.phys_of_int 1 in
+                (unit (fun () -> Frame_allocator.free fa a), unit (fun () -> O.free oa a))
+          in
+          got = want && Frame_allocator.allocated fa = O.allocated oa)
+        ops)
+
+let test_frame_allocator_free_out_of_range () =
+  let fa = Frame_allocator.create ~total_frames:4 in
+  let oob = Invalid_argument "Frame_allocator.free: frame not allocated" in
+  Alcotest.check_raises "pfn = total" oob (fun () -> Frame_allocator.free fa (Addr.of_pfn 4));
+  Alcotest.check_raises "pfn beyond total" oob (fun () ->
+      Frame_allocator.free fa (Addr.of_pfn 1000));
+  Alcotest.check_raises "negative pfn" oob (fun () -> Frame_allocator.free fa (Addr.of_pfn (-1)));
+  Alcotest.(check int) "nothing allocated" 0 (Frame_allocator.allocated fa)
+
 let () =
   Alcotest.run "rio_memory"
     [
@@ -226,7 +317,9 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_frame_allocator_exhaustion;
           Alcotest.test_case "double free detected" `Quick test_frame_allocator_double_free;
           Alcotest.test_case "contiguous" `Quick test_frame_allocator_contiguous;
+          Alcotest.test_case "free out of range" `Quick test_frame_allocator_free_out_of_range;
           QCheck_alcotest.to_alcotest prop_frame_allocator_no_double_alloc;
+          QCheck_alcotest.to_alcotest prop_frame_allocator_matches_oracle;
         ] );
       ( "phys_mem",
         [

@@ -160,6 +160,41 @@ let prop_predictions_respect_mapping =
       let r = Evaluate.run (module Wild) ~history:1 ~retain_invalidated:true t in
       r.Evaluate.hits <= r.Evaluate.accesses)
 
+(* Differential check against the whole-table Markov kept in
+   test/markov_scan.ml: random observe/invalidate scripts over a few
+   pages at a history small enough to force eviction (and re-insertion
+   of invalidated keys) must leave every page's [predict] list, order
+   included, identical after every step. *)
+let prop_markov_matches_scan_oracle =
+  let pages = 10 in
+  let op = QCheck.Gen.(pair (int_bound 3) (int_bound (pages - 1))) in
+  let gen = QCheck.Gen.(pair (int_range 1 6) (list_size (int_range 0 300) op)) in
+  let print (history, ops) =
+    Printf.sprintf "history=%d [%s]" history
+      (String.concat "; "
+         (List.map
+            (fun (k, p) -> Printf.sprintf "%s %d" (if k = 0 then "invalidate" else "observe") p)
+            ops))
+  in
+  QCheck.Test.make ~name:"reverse-indexed markov matches the whole-table scan" ~count:500
+    (QCheck.make ~print gen)
+    (fun (history, ops) ->
+      let m = Markov.create ~history and o = Markov_scan.create ~history in
+      List.for_all
+        (fun (k, p) ->
+          if k = 0 then begin
+            Markov.invalidate m p;
+            Markov_scan.invalidate o p
+          end
+          else begin
+            Markov.observe m p;
+            Markov_scan.observe o p
+          end;
+          List.for_all
+            (fun q -> Markov.predict m q = Markov_scan.predict o q)
+            (List.init pages Fun.id))
+        ops)
+
 let () =
   Alcotest.run "rio_prefetch"
     [
@@ -179,6 +214,7 @@ let () =
           Alcotest.test_case "distance strides" `Quick test_distance_learns_strides;
           Alcotest.test_case "riotlb next slot" `Quick test_riotlb_predicts_next_slot;
           QCheck_alcotest.to_alcotest prop_predictions_respect_mapping;
+          QCheck_alcotest.to_alcotest prop_markov_matches_scan_oracle;
         ] );
       ( "paper_findings",
         [

@@ -79,6 +79,46 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same multiset" (Array.init 50 Fun.id) sorted
 
+(* Known answers: the exact streams every cycle count and shuffle in the
+   reproduction is drawn from. A representation change to [Rng] must
+   leave all of these unchanged. *)
+let test_rng_known_answers () =
+  let first8 seed =
+    let r = Rng.create ~seed in
+    List.init 8 (fun _ -> Rng.next_int64 r)
+  in
+  Alcotest.(check (list int64)) "seed 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+      -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+      3207296026000306913L; -4214222208109204676L ]
+    (first8 0);
+  Alcotest.(check (list int64)) "seed 42"
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+      885919558081284366L; -353919125003956057L; 4337243929683858115L;
+      5152897204343404489L; 2820384354626331986L ]
+    (first8 42);
+  let r = Rng.create ~seed:42 in
+  Alcotest.(check (list int)) "int 1000" [ 140; 595; 570; 183 ]
+    (List.init 4 (fun _ -> Rng.int r 1000));
+  Alcotest.(check (list int)) "int_in -5 5" [ -1; 5; 3; 5 ]
+    (List.init 4 (fun _ -> Rng.int_in r (-5) 5));
+  Alcotest.(check (list (float 0.))) "float 1.0"
+    [ 0.7606833349350027; 0.24380126713417993 ]
+    (List.init 2 (fun _ -> Rng.float r 1.0));
+  let r = Rng.create ~seed:5 in
+  Alcotest.(check (list bool)) "bool" [ true; false; false; true; true; true ]
+    (List.init 6 (fun _ -> Rng.bool r));
+  let a = Array.init 10 Fun.id in
+  Rng.shuffle (Rng.create ~seed:7) a;
+  Alcotest.(check (array int)) "shuffle" [| 4; 6; 9; 8; 5; 2; 1; 0; 3; 7 |] a;
+  let parent = Rng.create ~seed:42 in
+  let child = Rng.split parent in
+  Alcotest.(check (list int64)) "split child"
+    [ 6168158941143839527L; -3019913106490840865L ]
+    (List.init 2 (fun _ -> Rng.next_int64 child));
+  Alcotest.(check int64) "split advances parent once" 2958219263312191191L
+    (Rng.next_int64 parent)
+
 let test_summary_stats () =
   let s = Stats.Summary.create () in
   List.iter (Stats.Summary.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
@@ -381,6 +421,47 @@ let prop_percentile_monotonic =
       let p75 = Stats.Samples.percentile s 75. in
       p25 <= p50 && p50 <= p75)
 
+(* Int_table against Stdlib.Hashtbl used only through replace (one
+   binding per key): random replace/remove/reset scripts over a key
+   range wide enough to force resizes and collide in buckets must agree
+   on every find, find_opt, mem and length along the way. *)
+let prop_int_table_matches_hashtbl =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (6, map2 (fun k v -> `Replace (k, v)) (int_range (-50) 400) nat);
+          (3, map (fun k -> `Remove k) (int_range (-50) 400));
+          (3, map (fun k -> `Probe k) (int_range (-50) 400));
+          (1, return `Reset) ])
+  in
+  QCheck.Test.make ~name:"int table matches Hashtbl" ~count:300
+    (QCheck.make QCheck.Gen.(pair (int_range 1 40) (list_size (int_range 0 600) op)))
+    (fun (n, ops) ->
+      let t = Int_table.create n and h = Hashtbl.create n in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Replace (k, v) ->
+              Int_table.replace t k v;
+              Hashtbl.replace h k v
+          | `Remove k ->
+              Int_table.remove t k;
+              Hashtbl.remove h k
+          | `Probe _ -> ()
+          | `Reset ->
+              Int_table.reset t;
+              Hashtbl.reset h);
+          let agree k =
+            Int_table.find_opt t k = Hashtbl.find_opt h k
+            && Int_table.mem t k = Hashtbl.mem h k
+            && (match Int_table.find t k with
+               | v -> Some v = Hashtbl.find_opt h k
+               | exception Not_found -> not (Hashtbl.mem h k))
+          in
+          Int_table.length t = Hashtbl.length h
+          && match op with `Replace (k, _) | `Remove k | `Probe k -> agree k | _ -> true)
+        ops)
+
 let () =
   Alcotest.run "rio_sim"
     [
@@ -400,6 +481,7 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "stats",
         [
@@ -417,6 +499,7 @@ let () =
           Alcotest.test_case "exponential sampling" `Quick test_distribution_sampling;
           Alcotest.test_case "zipf sampling" `Quick test_zipf_sampling;
         ] );
+      ("int_table", [ QCheck_alcotest.to_alcotest prop_int_table_matches_hashtbl ]);
       ( "event_queue",
         [
           Alcotest.test_case "ordering" `Quick test_event_queue_ordering;
